@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
     g = _load(args.graph)
     t0 = time.perf_counter()
     minseps = enumerate_minimal_separators(g, cap=args.cap_seps)
-    pmcs = enumerate_pmcs(g, minseps, cap=args.cap_pmcs)
+    pmcs = enumerate_pmcs(g, minseps, cap=args.cap_pmcs, cap_seps=args.cap_seps)
     prism = largest_prism(g, args.max_k)
     # the graph is (prism+1)-prism-free, which bounds the separator count
     free_k = prism + 1

@@ -2,9 +2,13 @@
 
 A vertex set is a potential maximal clique (PMC) when no component of its
 removal sees all of it and every internal nonedge is covered by some
-component.  Enumeration goes vertex by vertex over prefix graphs; each
-candidate is certified by the test above, and completeness is pinned by
-the brute-force oracle in the test suite.
+component.  Enumeration goes vertex by vertex over prefix graphs following
+the one-more-vertex theorem of Bouchitté & Todinca ("Listing all potential
+maximal cliques of a graph", TCS 2002): when vertex a turns G into G', each
+PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S of G',
+or S | (T & C) for a minimal separator S of G' that avoids a and is new in
+G', a minimal separator T of G and a full component C of S in G'.  Every
+candidate is certified by the test above.
 """
 
 from __future__ import annotations
@@ -93,13 +97,20 @@ def enumerate_pmcs(
 ) -> list[Pmc]:
     """The complete, canonically sorted PMC family of g.
 
-    Incremental mode sweeps prefix graphs G_1..G_n.  Candidates for step i
-    are the previous family, its members extended by the new vertex, each
-    minimal separator of G_i extended by the new vertex, and S | (T & C)
-    for minimal separators S, T of G_i and components C of G_i - S; each
-    candidate is filtered through the PMC test.  Minimal separators of
-    prefix graphs are recomputed per prefix; the caller-provided complete
-    family is used for the final step.
+    Incremental mode sweeps prefix graphs G_1..G_n.  Step i adds vertex a
+    to G = G_{i-1}, giving G' = G_i, and keeps the candidates that pass the
+    PMC test on G' (Bouchitté & Todinca, TCS 2002, ONE_MORE_VERTEX):
+
+    1. each PMC Ω of G if it is a PMC of G', otherwise Ω | a;
+    2. S | a for each minimal separator S of G';
+    3. S | (T & C) for each minimal separator S of G' with a not in S and
+       S not a minimal separator of G, each minimal separator T of G and
+       each full component C of S in G'.
+
+    Each distinct candidate is tested once per step.  Minimal separators
+    of prefix graphs are enumerated per prefix (under ``cap_seps``) and
+    reused as the T list of the next step; the caller-provided complete
+    family is used for the final step and checked against the result.
 
     Bruteforce mode tests every nonempty subset (oracle, small n only).
     """
@@ -120,38 +131,39 @@ def enumerate_pmcs(
         raise PreconditionError("incremental enumeration needs the minimal separators")
 
     minsep_masks = {s.set for s in minseps}
-    family: list[int] = []
-    for i in range(1, g.n + 1):
+    family = {1} if g.n else set()  # the PMCs of G_1
+    prev_seps: set[int] = set()  # the minimal separators of G_{i-1}
+    for i in range(2, g.n + 1):
         gi = g.prefix(i)
-        vbit = 1 << (i - 1)
-        if i == 1:
-            family = [vbit]
-            continue
+        a = 1 << (i - 1)
         seps_i = minseps if i == g.n else enumerate_minimal_separators(gi, cap=cap_seps)
-        candidates: set[int] = set()
+        kept: set[int] = set()
+        tested: set[int] = set()
         for prev in family:
-            candidates.add(prev)
-            candidates.add(prev | vbit)
-        comps_of: dict[int, list[int]] = {}
+            for cand in (prev, prev | a):
+                tested.add(cand)
+                if is_pmc(gi, cand) is not None:
+                    kept.add(cand)
+                    break
+        candidates: set[int] = set()
         for s in seps_i:
-            candidates.add(s.set | vbit)
-            comps_of[s.set] = list(s.components) if i == g.n else gi.components(
-                gi.full_mask & ~s.set
-            )
-        for s in seps_i:
-            for t in seps_i:
-                if t.set == s.set:
-                    continue
-                for comp in comps_of[s.set]:
-                    inter = t.set & comp
+            candidates.add(s.set | a)
+            if s.set & a or s.set in prev_seps:
+                continue
+            for idx in s.full:
+                comp = s.components[idx]
+                for t in prev_seps:
+                    inter = t & comp
                     if inter:
                         candidates.add(s.set | inter)
-        family = [cand for cand in sorted(candidates) if is_pmc(gi, cand) is not None]
+        kept.update(c for c in candidates - tested if is_pmc(gi, c) is not None)
+        family = kept
+        prev_seps = {s.set for s in seps_i}
         if cap and len(family) > cap:
             raise CapacityExceededError("potential maximal cliques", cap, len(family))
 
     out = []
-    for cand in family:
+    for cand in sorted(family):
         pmc = is_pmc(g, cand)
         if pmc is None:
             raise PreconditionError("prefix family member is not a PMC of the full graph")

@@ -138,3 +138,37 @@ def lhf_instance(rng: random.Random, n: int, style: str = "int") -> Graph:
     g = grow_lhf(base, rng.randint(0, max(1, n // 2)), rng)
     assert find_long_hole(g) is None
     return random_weights(g, rng, style)
+
+
+# -- reference enumerators ----------------------------------------------------
+
+def reference_pmcs(g: Graph) -> list[int]:
+    """PMC masks of g by the all-pairs rule, canonically sorted.
+
+    Sweeps prefix graphs G_1..G_n; the candidates for G_i are the previous
+    family, its members plus the new vertex, S plus the new vertex, and
+    S | (T & C) for every pair of minimal separators S != T of G_i and every
+    component C of G_i - S.  Slower than the library's one-more-vertex rule
+    but with no theorem-specific pruning, so it reaches graphs far beyond
+    the subset-scan oracle.
+    """
+    from holefree.pmc import is_pmc
+    from holefree.separators import enumerate_minimal_separators
+
+    family = [1] if g.n else []
+    for i in range(2, g.n + 1):
+        gi = g.prefix(i)
+        vbit = 1 << (i - 1)
+        candidates = {c for prev in family for c in (prev, prev | vbit)}
+        seps = enumerate_minimal_separators(gi)
+        for s in seps:
+            candidates.add(s.set | vbit)
+            for t in seps:
+                if t.set == s.set:
+                    continue
+                for comp in s.components:
+                    inter = t.set & comp
+                    if inter:
+                        candidates.add(s.set | inter)
+        family = [c for c in candidates if is_pmc(gi, c) is not None]
+    return sorted(family, key=to_tuple)

@@ -105,6 +105,22 @@ def test_analyze_k4(tmp_path, capsys):
     assert analysis["minseps"] == 0 and analysis["pmcs"] == 1
 
 
+def test_analyze_forwards_cap_seps_to_prefix_graphs(prism3_file, capsys, monkeypatch):
+    import holefree.pmc as pmc
+
+    caps = []
+    real = pmc.enumerate_minimal_separators
+
+    def recording(g, cap=0):
+        caps.append(cap)
+        return real(g, cap=cap)
+
+    monkeypatch.setattr(pmc, "enumerate_minimal_separators", recording)
+    assert main(["analyze", prism3_file, "--cap-seps", "50", "--json"]) == 0
+    assert _json_out(capsys)["analysis"]["pmcs"] == 12
+    assert caps and set(caps) == {50}
+
+
 def test_generate_prism4(tmp_path, capsys):
     out = tmp_path / "p4.gr"
     assert main(["generate", "prism", "4", "--out", str(out)]) == 0

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import holefree
 from holefree.cli import main
 from holefree.errors import WidthLimitError
 from holefree.families import prism_graph, random_chordal
@@ -13,11 +15,12 @@ from holefree.graph import emit_graph
 
 
 def _run_solve(path: str, hashseed: str) -> dict:
+    src_dir = str(Path(holefree.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "holefree.cli", "solve", path, "--json"],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed},
+        env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed, "PYTHONPATH": src_dir},
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

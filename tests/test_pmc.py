@@ -1,5 +1,6 @@
 """Potential maximal cliques: testing, enumeration, blocks, domination."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,9 @@ from holefree.errors import PreconditionError
 from holefree.families import (
     complete_bipartite,
     complete_graph,
+    grow_lhf,
     prism_graph,
+    random_chordal,
 )
 from holefree.graph import Graph
 from holefree.pmc import (
@@ -24,7 +27,7 @@ from holefree.pmc import (
 from holefree.recognition import clique_tree, find_long_hole
 from holefree.separators import analyze_separator, enumerate_minimal_separators
 
-from oracles import c4, p4
+from oracles import c4, p4, reference_pmcs
 
 
 def test_is_pmc_c4_triple():
@@ -79,6 +82,47 @@ def test_incremental_matches_bruteforce(random_corpus_12):
         inc = {p.set for p in enumerate_pmcs(g, enumerate_minimal_separators(g))}
         brute = {p.set for p in enumerate_pmcs(g, mode="bruteforce")}
         assert inc == brute
+
+
+def _incremental_sets(g):
+    return [p.set for p in enumerate_pmcs(g, enumerate_minimal_separators(g))]
+
+
+# vertex orders whose prefix graphs are disconnected or edgeless
+EDGE_CASE_GRAPHS = {
+    "edgeless": Graph(4),
+    "isolated-first-and-last": Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 5)]),
+    "c6-independent-half-first": Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]),
+    "star-leaves-first": Graph(5, [(i, 4) for i in range(4)]),
+    "two-paths-interleaved": Graph(6, [(0, 2), (2, 4), (1, 3), (3, 5)]),
+    "k1,4": complete_bipartite(1, 4),
+    "k2,3": complete_bipartite(2, 3),
+    "k3,3": complete_bipartite(3, 3),
+    "k3,4": complete_bipartite(3, 4),
+    "prism3": prism_graph(3),
+    "prism4": prism_graph(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_GRAPHS))
+def test_incremental_edge_cases_match_bruteforce(name):
+    g = EDGE_CASE_GRAPHS[name]
+    assert _incremental_sets(g) == [p.set for p in enumerate_pmcs(g, mode="bruteforce")]
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_incremental_matches_reference_rule_on_lhf(n):
+    rng = random.Random(n)
+    for _ in range(2):
+        chordal = random_chordal(n, rng.randint(n, 3 * n), rng)
+        for g in (chordal, grow_lhf(chordal, rng.randint(1, n // 2), rng)):
+            assert _incremental_sets(g) == reference_pmcs(g)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_incremental_matches_reference_rule_on_prisms(k):
+    g = prism_graph(k)
+    assert _incremental_sets(g) == reference_pmcs(g)
 
 
 def test_every_emitted_pmc_passes_test(random_corpus_12):
