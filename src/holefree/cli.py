@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, analyze, generate.
 
-Exit codes: 0 success, 2 parse error or bad parameters, 3 capacity or
-retry budget exceeded, 4 internal witness failure.  Verdicts from
-``verify`` are data, not failures, and never change the exit status.
+Exit codes: 0 success, 2 parse error or bad parameters, 3 capacity, retry
+budget or oracle size limit exceeded, 4 internal witness or invariant
+failure.  Verdicts from ``verify`` are data, not failures, and never
+change the exit status.
 
 JSON reports keep a stable key set so downstream scripts can rely on the
 shape: {version, command, input, result, verdicts, analysis, stats}.
@@ -22,8 +23,9 @@ from .engine import SolveConfig, SolveResult
 from .errors import (
     CapacityExceededError,
     GenerationError,
-    GraphFormatError,
     NoDominationError,
+    OracleLimitError,
+    PreconditionError,
     SolverInvariantError,
     WitnessNotFoundError,
 )
@@ -267,18 +269,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (CapacityExceededError, GenerationError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_CAPACITY
+    except (
+        SolverInvariantError,
+        WitnessNotFoundError,
+        NoDominationError,
+        PreconditionError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, IndexError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CapacityExceededError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (SolverInvariantError, WitnessNotFoundError, NoDominationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

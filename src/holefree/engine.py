@@ -5,7 +5,15 @@ separator is a clique in some chordal completion, an optimum independent
 set meets it in at most one vertex; the table is therefore indexed by the
 block and a single trace vertex of S (or none).  The value of an entry is
 the best weight achievable inside D compatibly with the trace; caps (PMCs
-squeezed between S and S | D) split D into strictly smaller child blocks.
+squeezed between S and S | D) split D into strictly smaller child blocks,
+the components of g - cap inside D.
+
+Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
+Comput. 2001): Ω is a cap of (S, D) exactly when a component C of g - Ω
+has N(C) = S and D meets Ω.  The whole graph is the top block (∅, V),
+whose caps are all PMCs.  The table holds ints: weights are scaled once by
+the LCM of their denominators and the optimum is a ``Fraction`` again at
+the end.
 
 Every returned result re-checks its own witness: the set must be
 independent and its weight must equal the reported optimum.
@@ -13,6 +21,7 @@ independent and its weight must equal the reported optimum.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,23 +86,34 @@ def check_independent_witness(g: Graph, weight: Fraction, witness: int) -> None:
         )
 
 
-def _better(current, candidate):
-    """Maximize by value, tie-break by lexicographically smaller witness."""
-    if current is None:
-        return candidate
-    if candidate[0] != current[0]:
-        return candidate if candidate[0] > current[0] else current
-    return candidate if candidate[1] < current[1] else current
+def _lex_first(a: int, b: int) -> bool:
+    """Whether vertex set a sorts before b, for two sets neither inside the
+    other (true of equal-weight witnesses, which hold no zero-weight vertex):
+    the smallest vertex in exactly one of them is in a."""
+    diff = a ^ b
+    return bool(diff & -diff & a)
 
 
 def index_caps(g: Graph, pmcs: list[Pmc], blocks: list[Block]) -> list[list[int]]:
-    """For each block (S, D): indices of PMCs squeezed between S and S | D."""
-    caps: list[list[int]] = []
-    for b in blocks:
-        hull = b.s | b.d
-        caps.append(
-            [i for i, p in enumerate(pmcs) if p.set & ~hull == 0 and b.s & ~p.set == 0]
-        )
+    """For each block (S, D): ascending indices of the PMCs squeezed between
+    S and S | D.
+
+    Built from (PMC, component) pairs (Bouchitté & Todinca, SIAM J. Comput.
+    2001): Ω is a cap of (S, D) exactly when some component C of g - Ω has
+    N(C) = S and D is the block with N(D) = S that meets Ω.  That takes one
+    step per component of g - Ω instead of testing every PMC on every block.
+    """
+    by_sep: dict[int, list[int]] = {}
+    for j, b in enumerate(blocks):
+        by_sep.setdefault(b.s, []).append(j)
+    caps: list[list[int]] = [[] for _ in blocks]
+    for i, p in enumerate(pmcs):
+        for comp in p.components:
+            for j in by_sep.get(g.neighborhood(comp), ()):
+                if blocks[j].d & p.set:
+                    if not caps[j] or caps[j][-1] != i:
+                        caps[j].append(i)
+                    break
     return caps
 
 
@@ -101,8 +121,13 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
     """Exact MWIS on a connected graph from its complete PMC family.
 
     ``blocks`` is the block family (component masks); neighborhoods and cap
-    indexing are derived here.  Witnesses are assembled bottom-up with the
-    canonical tie-break, so reruns are byte-identical.
+    indexing are derived here.  The children of a block D under a cap Ω are
+    the components of g - Ω inside D.  The whole graph is the top block
+    (∅, V), whose caps are all PMCs and whose single entry is the answer.
+    Weights are scaled once by the LCM of their denominators so the table
+    holds ints; the optimum goes back to a ``Fraction`` at the end.
+    Witnesses are assembled bottom-up with the canonical tie-break
+    (lexicographically smaller), so reruns are byte-identical.
     """
     if not g.is_connected():
         raise PreconditionError("solve_bt needs a connected graph")
@@ -112,91 +137,53 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
     blocks_ = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
+    scale = math.lcm(*(w.denominator for w in g.weights))
+    w = [x.numerator * (scale // x.denominator) for x in g.weights]
 
-    # children per (block, cap): component masks of (S | D) - cap with traces
-    tables: list[dict[int, tuple[Fraction, tuple[int, ...]] | None]] = []
-    entries = 0
+    if any(comp not in by_mask for p in pmcs for comp in p.components):
+        raise SolverInvariantError("block family misses a component of g - PMC")
 
-    def children_of(hull: int, cap: int) -> list[tuple[int, int]]:
-        out = []
-        for comp in g.components(hull & ~cap):
-            cid = by_mask.get(comp)
-            if cid is None:
-                raise SolverInvariantError("block family misses a child component")
-            out.append((cid, blocks_[cid].s))
-        return out
-
-    for b in blocks_:
-        hull = b.s | b.d
-        cap_children = [(pmcs[ci].set, children_of(hull, pmcs[ci].set)) for ci in caps[b.id]]
-        table: dict[int, tuple[Fraction, tuple[int, ...]] | None] = {}
-        for u in [_NONE] + list(iter_bits(b.s)):
-            best = None
-            for cap_mask, kids in cap_children:
+    # tables[block id][trace] = (value, witness mask); a block's table has
+    # keys _NONE and its separator's vertices
+    tables: list[dict[int, tuple[int, int]]] = []
+    top = Block(g.full_mask, 0, len(blocks_))
+    for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
+        if not cap_ids:
+            raise SolverInvariantError("a block has no cap; PMC family incomplete")
+        cap_kids = [
+            (pmcs[i].set, [tables[by_mask[c]] for c in pmcs[i].components if c & b.d])
+            for i in cap_ids
+        ]
+        table: dict[int, tuple[int, int]] = {}
+        for u in [_NONE, *iter_bits(b.s)]:
+            best = (-1, 0)
+            for cap, kids in cap_kids:
                 if u == _NONE:
-                    t_options = [_NONE] + [
-                        t for t in iter_bits(cap_mask & b.d) if g.weights[t] > 0
+                    own = [(_NONE, 0, 0)] + [
+                        (t, w[t], 1 << t) for t in iter_bits(cap & b.d) if w[t] > 0
                     ]
                 else:
-                    t_options = [u]
-                for t in t_options:
-                    if t == _NONE:
-                        value, witness = Fraction(0), ()
-                    elif b.d >> t & 1:
-                        value, witness = g.weights[t], (t,)
-                    else:
-                        value, witness = Fraction(0), ()
-                    feasible = True
-                    for cid, cs in kids:
-                        trace = t if t != _NONE and cs >> t & 1 else _NONE
-                        sub = tables[cid][trace]
-                        if sub is None:
-                            feasible = False
-                            break
+                    own = [(u, 0, 0)]
+                for t, value, witness in own:
+                    for tab in kids:
+                        sub = tab[t] if t in tab else tab[_NONE]
                         value += sub[0]
-                        witness += sub[1]
-                    if feasible:
-                        best = _better(best, (value, tuple(sorted(witness))))
+                        witness |= sub[1]
+                    if value > best[0] or value == best[0] and _lex_first(witness, best[1]):
+                        best = (value, witness)
             table[u] = best
-            entries += 1
         tables.append(table)
 
-    best = None
-    for p in pmcs:
-        kid_list = []
-        for comp in p.components:
-            cid = by_mask.get(comp)
-            if cid is None:
-                raise SolverInvariantError("block family misses a top-level component")
-            kid_list.append((cid, blocks_[cid].s))
-        for t in [_NONE] + [t for t in iter_bits(p.set) if g.weights[t] > 0]:
-            if t == _NONE:
-                value, witness = Fraction(0), ()
-            else:
-                value, witness = g.weights[t], (t,)
-            feasible = True
-            for cid, cs in kid_list:
-                trace = t if t != _NONE and cs >> t & 1 else _NONE
-                sub = tables[cid][trace]
-                if sub is None:
-                    feasible = False
-                    break
-                value += sub[0]
-                witness += sub[1]
-            if feasible:
-                best = _better(best, (value, tuple(sorted(witness))))
-    if best is None:
-        raise SolverInvariantError("no feasible cap chain; PMC family incomplete")
-
-    weight, witness = best
-    check_independent_witness(g, weight, mask_of(witness))
+    value, mask = tables[top.id][_NONE]
+    weight = Fraction(value, scale)
+    check_independent_witness(g, weight, mask)
     stats = SolveStats(
         pmcs=len(pmcs),
         blocks=len(blocks_),
-        table_entries=entries,
+        table_entries=sum(b.s.bit_count() + 1 for b in blocks_),
         time_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return SolveResult(weight, witness, "bt", stats)
+    return SolveResult(weight, to_tuple(mask), "bt", stats)
 
 
 def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:

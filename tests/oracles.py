@@ -172,3 +172,15 @@ def reference_pmcs(g: Graph) -> list[int]:
                         candidates.add(s.set | inter)
         family = [c for c in candidates if is_pmc(gi, c) is not None]
     return sorted(family, key=to_tuple)
+
+
+def reference_caps(g: Graph, pmcs, blocks) -> list[list[int]]:
+    """For each block (S, D): ascending indices of the PMCs Ω with
+    S <= Ω <= S | D, by testing every PMC against every block."""
+    caps = []
+    for b in blocks:
+        hull = b.s | b.d
+        caps.append(
+            [i for i, p in enumerate(pmcs) if p.set & ~hull == 0 and b.s & ~p.set == 0]
+        )
+    return caps

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from holefree import cli
 from holefree.cli import main
+from holefree.errors import PreconditionError
 from holefree.families import cycle_graph, path_graph, prism_graph
 from holefree.graph import emit_graph, parse_graph
 
@@ -54,6 +56,22 @@ def test_solve_missing_file_exits_2(capsys):
 
 def test_solve_capacity_exits_3(prism3_file, capsys):
     assert main(["solve", prism3_file, "--strategy", "bt", "--cap-seps", "2"]) == 3
+
+
+def test_solve_brute_above_oracle_limit_exits_3(tmp_path, capsys):
+    f = tmp_path / "p21.gr"
+    f.write_text(emit_graph(path_graph(21)))
+    assert main(["solve", str(f), "--strategy", "brute"]) == 3
+    assert "oracle limit" in capsys.readouterr().err
+
+
+def test_solve_precondition_failure_exits_4(c4_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise PreconditionError("internal invariant broke")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    assert main(["solve", c4_file]) == 4
+    assert "internal invariant broke" in capsys.readouterr().err
 
 
 def test_verify_c5(tmp_path, capsys):

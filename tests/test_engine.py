@@ -1,5 +1,6 @@
 """Block dynamic program and the brute-force oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,13 +20,16 @@ from holefree.families import (
     complete_graph,
     cycle_graph,
     er_graph,
+    grow_lhf,
     prism_graph,
+    random_chordal,
+    random_weights,
 )
 from holefree.graph import Graph
 from holefree.pmc import block_family, enumerate_pmcs
 from holefree.separators import enumerate_minimal_separators
 
-from oracles import c4, exhaustive_mwis, p4
+from oracles import c4, exhaustive_mwis, p4, reference_caps
 
 
 def _pipeline(g):
@@ -33,11 +37,15 @@ def _pipeline(g):
     return enumerate_pmcs(g, seps), block_family(g, seps)
 
 
-def test_index_caps_c4():
-    g = c4()
+def _indexed_blocks(g):
     pmcs, blocks = _pipeline(g)
     ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
-    blk = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+    return pmcs, [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+
+
+def test_index_caps_c4():
+    g = c4()
+    pmcs, blk = _indexed_blocks(g)
     caps = index_caps(g, pmcs, blk)
     b1 = next(b for b in blk if b.d == 1 << 1)  # block ({1}, S={0,2})
     assert [pmcs[i].set for i in caps[b1.id]] == [mask_of([0, 1, 2])]
@@ -45,12 +53,37 @@ def test_index_caps_c4():
 
 def test_index_caps_p4_chordal():
     g = p4()
-    pmcs, blocks = _pipeline(g)
-    ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
-    blk = [Block(d, g.neighborhood(d), i) for i, b in enumerate(ordered) for d in [b]]
+    pmcs, blk = _indexed_blocks(g)
     caps = index_caps(g, pmcs, blk)
     b_a = next(b for b in blk if b.d == 1 << 0)  # block ({0}, S={1})
     assert [pmcs[i].set for i in caps[b_a.id]] == [mask_of([0, 1])]
+
+
+def _assert_caps_match_scan(g):
+    pmcs, blk = _indexed_blocks(g)
+    assert index_caps(g, pmcs, blk) == reference_caps(g, pmcs, blk)
+
+
+def test_index_caps_matches_scan_on_random_graphs():
+    rng = random.Random(34)
+    checked = 0
+    while checked < 200:
+        g = er_graph(rng.randint(2, 12), rng.uniform(0.15, 0.8), rng)
+        if g.is_connected():
+            _assert_caps_match_scan(g)
+            checked += 1
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_index_caps_matches_scan_on_lhf(n):
+    rng = random.Random(n)
+    _assert_caps_match_scan(random_chordal(n, 2 * n, rng))
+    _assert_caps_match_scan(grow_lhf(random_chordal(n, 2 * n, rng), n // 2, rng))
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_index_caps_matches_scan_on_prisms(k):
+    _assert_caps_match_scan(prism_graph(k))
 
 
 def test_index_caps_k4_no_blocks():
@@ -81,6 +114,58 @@ def test_solve_bt_p4_weighted():
     pmcs, blocks = _pipeline(g)
     res = solve_bt(g, pmcs, blocks)
     assert res.weight == 6 and res.vertices in ((0, 2), (1, 3))
+
+
+EXACT_WEIGHTS = {
+    "mixed-denominators": [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12)],
+    "zeros": [0, 0, 1, 2],
+    "huge": [10**30, 10**30 + 1, 3 * 10**30 - 7],
+    "decimal-and-int": [Fraction("0.1"), Fraction("2.75"), 1, 3],
+}
+
+
+@pytest.mark.parametrize("palette", sorted(EXACT_WEIGHTS))
+def test_exact_weights_match_subset_scan(palette):
+    rng = random.Random(35)
+    for _ in range(25):
+        n = rng.randint(2, 10)
+        g = er_graph(n, rng.uniform(0.2, 0.7), rng).with_weights(
+            [rng.choice(EXACT_WEIGHTS[palette]) for _ in range(n)]
+        )
+        expect = exhaustive_mwis(g)
+        results = [solve_mwis(g)]
+        if g.is_connected():
+            results.append(solve_bt(g, *_pipeline(g)))
+        for res in results:
+            assert isinstance(res.weight, Fraction)
+            assert (res.weight, res.vertices) == expect
+
+
+def _networkx_mwis_weight(g):
+    """Max weight of an independent set: networkx's max weight clique of the
+    complement, with the weights scaled to integers by their LCM."""
+    nx = pytest.importorskip("networkx")
+    scale = math.lcm(*(w.denominator for w in g.weights))
+    h = nx.Graph()
+    h.add_nodes_from((v, {"weight": int(w * scale)}) for v, w in enumerate(g.weights))
+    h.add_edges_from(g.edges())
+    comp = nx.complement(h)
+    comp.add_nodes_from(h.nodes(data=True))
+    return Fraction(nx.max_weight_clique(comp, weight="weight")[1], scale)
+
+
+@pytest.mark.parametrize("style", ["decimal", "skew"])
+@pytest.mark.parametrize(
+    "family,n",
+    [("chordal", 40), ("chordal", 60), ("chordal", 80), ("grow_lhf", 30), ("grow_lhf", 40)],
+)
+def test_matches_networkx_beyond_brute_force_reach(family, n, style):
+    rng = random.Random(f"{family}:{n}:{style}")
+    g = random_chordal(n, 2 * n, rng)
+    if family == "grow_lhf":
+        g = grow_lhf(g, n // 2, rng)
+    g = random_weights(g, rng, style)
+    assert solve_mwis(g).weight == _networkx_mwis_weight(g)
 
 
 def test_solve_bt_rejects_disconnected():
