@@ -101,15 +101,16 @@ def index_caps(g: Graph, pmcs: list[Pmc], blocks: list[Block]) -> list[list[int]
     Built from (PMC, component) pairs (Bouchitté & Todinca, SIAM J. Comput.
     2001): Ω is a cap of (S, D) exactly when some component C of g - Ω has
     N(C) = S and D is the block with N(D) = S that meets Ω.  That takes one
-    step per component of g - Ω instead of testing every PMC on every block.
+    step per component of g - Ω, whose N(C) the PMC certificate holds,
+    instead of testing every PMC on every block.
     """
     by_sep: dict[int, list[int]] = {}
     for j, b in enumerate(blocks):
         by_sep.setdefault(b.s, []).append(j)
     caps: list[list[int]] = [[] for _ in blocks]
     for i, p in enumerate(pmcs):
-        for comp in p.components:
-            for j in by_sep.get(g.neighborhood(comp), ()):
+        for nb in p.neighborhoods:
+            for j in by_sep.get(nb, ()):
                 if blocks[j].d & p.set:
                     if not caps[j] or caps[j][-1] != i:
                         caps[j].append(i)

@@ -92,32 +92,46 @@ class Graph:
 
     def neighborhood(self, sub: int, closed: bool = False) -> int:
         """N(sub) disjoint from sub, or N[sub] = N(sub) | sub when closed."""
+        adj = self.adj
         nb = 0
-        for v in iter_bits(sub):
-            nb |= self.adj[v]
+        rest = sub
+        while rest:
+            low = rest & -rest
+            nb |= adj[low.bit_length() - 1]
+            rest ^= low
         return (nb | sub) if closed else (nb & ~sub)
 
-    def components(self, sub: int | None = None) -> list[int]:
-        """Connected components of the subgraph induced on ``sub``.
+    def flood(self, sub: int) -> list[tuple[int, int]]:
+        """(C, N(C)) for each connected component C of the subgraph induced
+        on ``sub``, with N(C) taken in the whole graph.
 
-        Each component mask is found by flooding from its minimum vertex, so
-        the returned list is sorted by minimum element (canonical order).
+        Each component is flooded from its minimum vertex, so the list is
+        sorted by minimum element (canonical order).  The adjacency rows
+        ORed while flooding are exactly those of C, so their union minus C
+        is N(C) at no extra cost.
         """
-        remaining = self.full_mask if sub is None else sub
         adj = self.adj
-        comps = []
-        while remaining:
-            comp = remaining & -remaining
-            frontier = comp
+        out = []
+        rest = sub
+        while rest:
+            comp = frontier = rest & -rest
+            rest ^= comp
+            reach = 0
             while frontier:
-                nxt = 0
-                for v in iter_bits(frontier):
-                    nxt |= adj[v]
-                frontier = nxt & remaining & ~comp
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & rest
+                rest ^= frontier
                 comp |= frontier
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
+            out.append((comp, reach & ~comp))
+        return out
+
+    def components(self, sub: int | None = None) -> list[int]:
+        """Connected components of the subgraph induced on ``sub``, in the
+        canonical order of :meth:`flood`."""
+        return [c for c, _ in self.flood(self.full_mask if sub is None else sub)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1

@@ -32,20 +32,22 @@ from .separators import Separator, analyze_separator, enumerate_minimal_separato
 class Pmc:
     """A certified potential maximal clique.
 
-    ``covers`` maps each internal nonedge (x, y) to the index of a
-    component of g - set whose neighborhood contains both ends.
+    ``components`` are the components of g - set in canonical order and
+    ``neighborhoods`` their neighborhoods, in the same order.  Every
+    internal nonedge lies inside one of those neighborhoods.
     """
 
     set: int
     components: tuple[int, ...]
-    covers: tuple[tuple[tuple[int, int], int], ...]
+    neighborhoods: tuple[int, ...]
 
     def cover_of(self, x: int, y: int) -> int:
-        key = (min(x, y), max(x, y))
-        for pair, idx in self.covers:
-            if pair == key:
+        """Index of the first component whose neighborhood holds x and y."""
+        need = (1 << x) | (1 << y)
+        for idx, nb in enumerate(self.neighborhoods):
+            if nb & need == need:
                 return idx
-        raise KeyError(key)
+        raise KeyError((min(x, y), max(x, y)))
 
 
 @dataclass(frozen=True)
@@ -58,28 +60,35 @@ class DominationResult:
 
 
 def certify_pmc(g: Graph, cand: int) -> tuple[Pmc | None, str | None]:
-    """Certify the two PMC conditions; on failure name the violated one."""
+    """Certify the two PMC conditions; on failure name the violated one.
+
+    The nonedges xy with y > x are covered exactly when they all lie in the
+    union of the component neighborhoods that contain x.  A failure names
+    the first uncovered nonedge (x, y) in lexicographic order.
+    """
     if cand == 0:
         return None, "empty set"
-    comps = g.components(g.full_mask & ~cand)
-    nbrs = []
-    for comp in comps:
-        nb = g.neighborhood(comp)
-        if nb == cand:
-            return None, "a component sees the whole set"
-        nbrs.append(nb)
-    covers = []
-    for x in iter_bits(cand):
-        targets = cand & ~g.adj[x] & ~((1 << (x + 1)) - 1)
-        for y in iter_bits(targets):
-            need = (1 << x) | (1 << y)
-            for idx, nb in enumerate(nbrs):
-                if nb & need == need:
-                    covers.append(((x, y), idx))
-                    break
-            else:
+    pairs = g.flood(g.full_mask & ~cand)
+    nbrs = tuple(nb for _, nb in pairs)
+    if cand in nbrs:
+        return None, "a component sees the whole set"
+    adj = g.adj
+    rest = cand
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
+        targets = rest & ~adj[x]
+        if targets:
+            seen = 0
+            for nb in nbrs:
+                if nb & low:
+                    seen |= nb
+            missing = targets & ~seen
+            if missing:
+                y = (missing & -missing).bit_length() - 1
                 return None, f"nonedge ({x}, {y}) not covered by any component"
-    return Pmc(cand, tuple(comps), tuple(covers)), None
+    return Pmc(cand, tuple(c for c, _ in pairs), nbrs), None
 
 
 def is_pmc(g: Graph, cand: int) -> Pmc | None:
@@ -111,6 +120,8 @@ def enumerate_pmcs(
     of prefix graphs are enumerated per prefix (under ``cap_seps``) and
     reused as the T list of the next step; the caller-provided complete
     family is used for the final step and checked against the result.
+    G_n is g, so the certificates of the final step are returned as they
+    are.
 
     Bruteforce mode tests every nonempty subset (oracle, small n only).
     """
@@ -130,20 +141,21 @@ def enumerate_pmcs(
     if minseps is None:
         raise PreconditionError("incremental enumeration needs the minimal separators")
 
-    minsep_masks = {s.set for s in minseps}
-    family = {1} if g.n else set()  # the PMCs of G_1
+    # the PMCs of G_1; G_1 - {0} is empty
+    family: dict[int, Pmc] = {1: Pmc(1, (), ())} if g.n else {}
     prev_seps: set[int] = set()  # the minimal separators of G_{i-1}
     for i in range(2, g.n + 1):
         gi = g.prefix(i)
         a = 1 << (i - 1)
         seps_i = minseps if i == g.n else enumerate_minimal_separators(gi, cap=cap_seps)
-        kept: set[int] = set()
+        kept: dict[int, Pmc] = {}
         tested: set[int] = set()
         for prev in family:
             for cand in (prev, prev | a):
                 tested.add(cand)
-                if is_pmc(gi, cand) is not None:
-                    kept.add(cand)
+                pmc = is_pmc(gi, cand)
+                if pmc is not None:
+                    kept[cand] = pmc
                     break
         candidates: set[int] = set()
         for s in seps_i:
@@ -156,25 +168,21 @@ def enumerate_pmcs(
                     inter = t & comp
                     if inter:
                         candidates.add(s.set | inter)
-        kept.update(c for c in candidates - tested if is_pmc(gi, c) is not None)
+        for cand in candidates - tested:
+            pmc = is_pmc(gi, cand)
+            if pmc is not None:
+                kept[cand] = pmc
         family = kept
         prev_seps = {s.set for s in seps_i}
         if cap and len(family) > cap:
             raise CapacityExceededError("potential maximal cliques", cap, len(family))
 
-    out = []
-    for cand in sorted(family):
-        pmc = is_pmc(g, cand)
-        if pmc is None:
-            raise PreconditionError("prefix family member is not a PMC of the full graph")
-        for comp in pmc.components:
-            if g.neighborhood(comp) not in minsep_masks:
-                raise PreconditionError(
-                    "provided minimal separator family is incomplete"
-                )
-        out.append(pmc)
-    out.sort(key=lambda p: to_tuple(p.set))
-    return out
+    # the last step certified the family on g.prefix(g.n), which is g
+    minsep_masks = {s.set for s in minseps}
+    for pmc in family.values():
+        if any(nb not in minsep_masks for nb in pmc.neighborhoods):
+            raise PreconditionError("provided minimal separator family is incomplete")
+    return sorted(family.values(), key=lambda p: to_tuple(p.set))
 
 
 def block_family(g: Graph, minseps: list[Separator]) -> list[int]:
@@ -202,8 +210,8 @@ def find_covering_component(g: Graph, pmc: Pmc, member_set: int) -> int | None:
         v = member_set.bit_length() - 1
         if pmc.set & ~(g.adj[v] | member_set) == 0:
             return None
-    for comp in pmc.components:
-        if member_set & ~g.neighborhood(comp) == 0:
+    for comp, nb in zip(pmc.components, pmc.neighborhoods):
+        if member_set & ~nb == 0:
             return comp
     raise WitnessNotFoundError(
         "no component covers the member set; input has a long hole",
@@ -262,7 +270,7 @@ def dominate_pmc(g: Graph, pmc: Pmc) -> DominationResult:
             comp = find_covering_component(g, pmc, missing)
             if comp is None:
                 continue
-            sep = analyze_separator(g, g.neighborhood(comp))
+            sep = analyze_separator(g, pmc.neighborhoods[pmc.components.index(comp)])
             if not sep.is_minimal:
                 continue
             d_index = sep.components.index(comp)

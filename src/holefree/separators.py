@@ -47,22 +47,13 @@ class Separator:
 
 def analyze_separator(g: Graph, sep: int) -> Separator:
     """Decompose g minus sep into components and mark the full ones."""
-    comps = g.components(g.full_mask & ~sep)
-    full = tuple(
-        i for i, c in enumerate(comps) if g.neighborhood(c) == sep
-    )
-    return Separator(sep, tuple(comps), full)
+    pairs = g.flood(g.full_mask & ~sep)
+    full = tuple(i for i, (_, nb) in enumerate(pairs) if nb == sep)
+    return Separator(sep, tuple(c for c, _ in pairs), full)
 
 
 def _is_minimal_separator(g: Graph, sep: int) -> bool:
-    rest = g.full_mask & ~sep
-    full_count = 0
-    for comp in g.components(rest):
-        if g.neighborhood(comp) == sep:
-            full_count += 1
-            if full_count >= 2:
-                return True
-    return False
+    return sum(nb == sep for _, nb in g.flood(g.full_mask & ~sep)) >= 2
 
 
 def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
@@ -90,15 +81,15 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
 
     for v in range(g.n):
         closed = g.adj[v] | (1 << v)
-        for comp in g.components(g.full_mask & ~closed):
-            consider(g.neighborhood(comp))
+        for _, nb in g.flood(g.full_mask & ~closed):
+            consider(nb)
 
     while queue:
         sep = queue.popleft()
         for x in iter_bits(sep.set):
             removed = sep.set | g.adj[x] | (1 << x)
-            for comp in g.components(g.full_mask & ~removed):
-                consider(g.neighborhood(comp))
+            for _, nb in g.flood(g.full_mask & ~removed):
+                consider(nb)
 
     out.sort(key=lambda s: to_tuple(s.set))
     return out

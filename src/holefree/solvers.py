@@ -456,7 +456,12 @@ STRATEGIES = ("bt", "subexp1", "subexp2", "brute", "auto")
 
 def solve(g: Graph, strategy: str = "auto", config: SolveConfig | None = None) -> SolveResult:
     """Strategy dispatch: auto runs the pipeline and falls back to prism
-    branching when a capacity cap trips."""
+    branching when a capacity cap trips.
+
+    When the graph is too large for the oracle and has no sqrt(n)-prism,
+    prism branching would hand it straight back to the same pipeline, which
+    trips the same cap again; auto then re-raises the first trip.
+    """
     from .errors import CapacityExceededError
 
     if strategy == "bt":
@@ -471,5 +476,7 @@ def solve(g: Graph, strategy: str = "auto", config: SolveConfig | None = None) -
         try:
             return solve_kprism_alg(g, config)
         except CapacityExceededError:
+            if g.n >= BRUTE_FLOOR and find_k_prism(g, math.isqrt(g.n)) is None:
+                raise
             return solve_subexp1(g, config)
     raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")

@@ -184,3 +184,60 @@ def reference_caps(g: Graph, pmcs, blocks) -> list[list[int]]:
             [i for i, p in enumerate(pmcs) if p.set & ~hull == 0 and b.s & ~p.set == 0]
         )
     return caps
+
+
+def naive_components(g: Graph, sub: int) -> list[int]:
+    """Components of g[sub] by breadth-first search over vertex lists."""
+    left = set(iter_bits(sub))
+    comps = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        comp, queue = {start}, [start]
+        while queue:
+            v = queue.pop()
+            for u in iter_bits(g.adj[v]):
+                if u in left:
+                    left.discard(u)
+                    comp.add(u)
+                    queue.append(u)
+        comps.append(mask_of(comp))
+    return comps
+
+
+def naive_neighborhood(g: Graph, sub: int) -> int:
+    nb = 0
+    for v in iter_bits(sub):
+        nb |= g.adj[v]
+    return nb & ~sub
+
+
+def reference_certify_pmc(g: Graph, cand: int):
+    """The PMC test with the per-nonedge certificate, pair by pair.
+
+    Returns ``((components, covers), None)`` on success, where ``covers``
+    maps each internal nonedge (x, y), x < y, to the first component whose
+    neighborhood holds both ends, or ``(None, reason)`` naming the first
+    violated condition.
+    """
+    if cand == 0:
+        return None, "empty set"
+    comps = naive_components(g, g.full_mask & ~cand)
+    nbrs = []
+    for comp in comps:
+        nb = naive_neighborhood(g, comp)
+        if nb == cand:
+            return None, "a component sees the whole set"
+        nbrs.append(nb)
+    covers = []
+    for x in iter_bits(cand):
+        for y in iter_bits(cand & ~g.adj[x] & ~((1 << (x + 1)) - 1)):
+            need = (1 << x) | (1 << y)
+            for idx, nb in enumerate(nbrs):
+                if nb & need == need:
+                    covers.append(((x, y), idx))
+                    break
+            else:
+                return None, f"nonedge ({x}, {y}) not covered by any component"
+    return (tuple(comps), tuple(covers)), None

@@ -10,7 +10,7 @@ from holefree.errors import GraphFormatError
 from holefree.families import cycle_graph, complete_graph, er_graph, star_graph
 from holefree.graph import Graph, emit_graph, format_weight, parse_graph
 
-from oracles import c4, p4
+from oracles import c4, naive_components, naive_neighborhood, p4
 
 
 def test_components_c4_opposite_pair():
@@ -39,6 +39,26 @@ def test_components_partition_and_no_cross_edges():
             union |= comp
             assert g.neighborhood(comp) & sub & ~comp == 0
         assert union == sub
+
+
+def test_flood_pairs_components_with_their_neighborhoods():
+    rng = random.Random(5)
+    graphs = [Graph(0), Graph(1), Graph(5), c4(), p4()]
+    graphs += [er_graph(rng.randint(1, 14), rng.random(), rng) for _ in range(150)]
+    # disconnected: two random graphs side by side
+    for _ in range(30):
+        a, b = (er_graph(rng.randint(1, 7), rng.random(), rng) for _ in range(2))
+        shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+        graphs.append(Graph(a.n + b.n, a.edges() + shifted))
+    for g in graphs:
+        subs = {0, g.full_mask, g.full_mask & rng.getrandbits(g.n)}
+        subs.update(g.full_mask & ~(1 << v) for v in range(g.n))  # strict subsets
+        for sub in subs:
+            pairs = g.flood(sub)
+            assert pairs == [(c, g.neighborhood(c)) for c in g.components(sub)]
+            assert pairs == [(c, naive_neighborhood(g, c)) for c in naive_components(g, sub)]
+    assert c4().flood(mask_of([0, 2])) == [(1 << 0, mask_of([1, 3])), (1 << 2, mask_of([1, 3]))]
+    assert p4().flood(0) == []
 
 
 def test_neighborhood_examples():

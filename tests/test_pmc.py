@@ -10,6 +10,7 @@ from holefree.errors import PreconditionError
 from holefree.families import (
     complete_bipartite,
     complete_graph,
+    er_graph,
     grow_lhf,
     prism_graph,
     random_chordal,
@@ -18,6 +19,7 @@ from holefree.graph import Graph
 from holefree.pmc import (
     block_family,
     certify_pmc,
+    Pmc,
     dominate_pmc,
     enumerate_pmcs,
     find_covering_component,
@@ -27,7 +29,7 @@ from holefree.pmc import (
 from holefree.recognition import clique_tree, find_long_hole
 from holefree.separators import analyze_separator, enumerate_minimal_separators
 
-from oracles import c4, p4, reference_pmcs
+from oracles import c4, naive_neighborhood, p4, reference_certify_pmc, reference_pmcs
 
 
 def test_is_pmc_c4_triple():
@@ -50,6 +52,51 @@ def test_is_pmc_uncovered_nonedge():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus (2, 3)
     pmc, why = certify_pmc(g, g.full_mask)  # no component covers the nonedge
     assert pmc is None and "not covered" in why
+
+
+def _certify_cases():
+    """Random graphs with n <= 12 and candidate sets: every subset when
+    n <= 6, else random subsets, closed neighborhoods, minimal separators
+    plus a vertex, and known PMCs."""
+    rng = random.Random(61)
+    for i in range(150):
+        n = rng.randint(1, 12)
+        g = er_graph(n, 0.1 + 0.8 * (i % 9) / 8, rng)
+        cands = set(range(1 << n)) if n <= 6 else {0, g.full_mask}
+        cands.update(rng.getrandbits(n) for _ in range(12))
+        cands.update(g.adj[v] | (1 << v) for v in range(n))
+        for s in enumerate_minimal_separators(g):
+            cands.update(s.set | (1 << v) for v in range(n))
+        cands.update(p.set for p in enumerate_pmcs(g, enumerate_minimal_separators(g)))
+        for cand in sorted(cands):
+            yield g, cand
+
+
+def test_certify_matches_pairwise_reference():
+    verdicts = {"pmc": 0, "fail": 0}
+    for g, cand in _certify_cases():
+        pmc, why = certify_pmc(g, cand)
+        ref, ref_why = reference_certify_pmc(g, cand)
+        assert why == ref_why
+        if ref is None:
+            assert pmc is None
+            verdicts["fail"] += 1
+            continue
+        comps, covers = ref
+        assert pmc.set == cand and pmc.components == comps
+        assert pmc.neighborhoods == tuple(naive_neighborhood(g, c) for c in comps)
+        for (x, y), idx in covers:
+            assert pmc.cover_of(x, y) == idx == pmc.cover_of(y, x)
+        verdicts["pmc"] += 1
+    assert verdicts["pmc"] > 500 and verdicts["fail"] > 500
+
+
+def test_enumerated_certificates_are_those_of_the_full_graph(random_corpus_12):
+    graphs = [Graph(1), Graph(2), Graph(2, [(0, 1)]), *random_corpus_12[:40]]
+    for g in graphs:
+        pmcs = enumerate_pmcs(g, enumerate_minimal_separators(g))
+        assert pmcs == [is_pmc(g, p.set) for p in pmcs]
+    assert enumerate_pmcs(Graph(1), []) == [Pmc(1, (), ())]
 
 
 def test_enumerate_p4_chordal():

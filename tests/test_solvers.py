@@ -268,6 +268,34 @@ def test_auto_falls_back_on_capacity():
     assert res.weight == 2 and res.strategy == "subexp1"
 
 
+def test_auto_reraises_when_the_fallback_would_rerun_the_pipeline(monkeypatch):
+    # a prism-free graph too large for the oracle: prism branching would hand
+    # it straight back to the pipeline and trip the same cap again
+    import holefree.engine as engine
+    from holefree.engine import SolveConfig
+    from holefree.errors import CapacityExceededError
+    from holefree.solvers import BRUTE_FLOOR
+
+    g = er_graph(30, 0.15, random.Random(30))
+    assert g.n >= BRUTE_FLOOR and find_k_prism(g, 5) is None
+    config = SolveConfig(cap_seps=10)
+    with pytest.raises(CapacityExceededError) as direct:
+        solve(g, strategy="bt", config=config)
+
+    calls = []
+    original = engine.enumerate_minimal_separators
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "enumerate_minimal_separators", counted)
+    with pytest.raises(CapacityExceededError) as auto:
+        solve(g, strategy="auto", config=config)
+    assert len(calls) == 1
+    assert str(auto.value) == str(direct.value)
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         solve(cycle_graph(4), strategy="magic")
