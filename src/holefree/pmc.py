@@ -8,7 +8,12 @@ maximal cliques of a graph", TCS 2002): when vertex a turns G into G', each
 PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S of G',
 or S | (T & C) for a minimal separator S of G' that avoids a and is new in
 G', a minimal separator T of G and a full component C of S in G'.  Every
-candidate is certified by the test above.
+candidate is certified by the test above.  The sweep carries its state from
+G to G': the certificate of Ω gives the components of G' - Ω and of
+G' - (Ω + a) without a flood, and the minimal separators of G' are those of
+G lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
+component, generated as by Kloks & Kratsch ("Listing all minimal separators
+of a graph", SIAM J. Comput. 1998).
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .graph import Graph
-from .separators import Separator, analyze_separator, enumerate_minimal_separators, oracle_limit
+from .separators import (
+    Separator,
+    absorb_last_vertex,
+    analyze_separator,
+    enumerate_minimal_separators,  # noqa: F401  perfbench/tracer.py wraps it under this name
+    extend_minimal_separators,
+    oracle_limit,
+)
 
 
 @dataclass(frozen=True)
@@ -60,16 +72,23 @@ class DominationResult:
 
 
 def certify_pmc(g: Graph, cand: int) -> tuple[Pmc | None, str | None]:
-    """Certify the two PMC conditions; on failure name the violated one.
+    """Certify the two PMC conditions; on failure name the violated one."""
+    if cand == 0:
+        return None, "empty set"
+    pairs = g.flood(g.full_mask & ~cand)
+    return _check_pmc(g, cand, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
+
+
+def _check_pmc(
+    g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...]
+) -> tuple[Pmc | None, str | None]:
+    """The two PMC conditions on the components of g - cand and their
+    neighborhoods, in canonical order.
 
     The nonedges xy with y > x are covered exactly when they all lie in the
     union of the component neighborhoods that contain x.  A failure names
     the first uncovered nonedge (x, y) in lexicographic order.
     """
-    if cand == 0:
-        return None, "empty set"
-    pairs = g.flood(g.full_mask & ~cand)
-    nbrs = tuple(nb for _, nb in pairs)
     if cand in nbrs:
         return None, "a component sees the whole set"
     adj = g.adj
@@ -88,12 +107,31 @@ def certify_pmc(g: Graph, cand: int) -> tuple[Pmc | None, str | None]:
             if missing:
                 y = (missing & -missing).bit_length() - 1
                 return None, f"nonedge ({x}, {y}) not covered by any component"
-    return Pmc(cand, tuple(c for c, _ in pairs), nbrs), None
+    return Pmc(cand, comps, nbrs), None
 
 
 def is_pmc(g: Graph, cand: int) -> Pmc | None:
     pmc, _ = certify_pmc(g, cand)
     return pmc
+
+
+def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
+    """Certificate in g of Ω, else of Ω + a, for a PMC Ω of g minus its last
+    vertex a; None if neither is a PMC of g.
+
+    No flood: the components of g - Ω follow from Ω's certificate by
+    :func:`absorb_last_vertex`, and those of g - (Ω + a) are the old ones,
+    with a added to the neighborhoods of those that meet N(a).
+    """
+    comps, nbrs, _ = absorb_last_vertex(g, pmc.components, pmc.neighborhoods)
+    kept, _ = _check_pmc(g, pmc.set, comps, nbrs)
+    if kept is None:
+        bit = 1 << (g.n - 1)
+        adj_a = g.adj[-1]
+        comps = pmc.components
+        nbrs = tuple(nb | bit if c & adj_a else nb for c, nb in zip(comps, pmc.neighborhoods))
+        kept, _ = _check_pmc(g, pmc.set | bit, comps, nbrs)
+    return kept
 
 
 def enumerate_pmcs(
@@ -116,12 +154,17 @@ def enumerate_pmcs(
        S not a minimal separator of G, each minimal separator T of G and
        each full component C of S in G'.
 
-    Each distinct candidate is tested once per step.  Minimal separators
-    of prefix graphs are enumerated per prefix (under ``cap_seps``) and
-    reused as the T list of the next step; the caller-provided complete
-    family is used for the final step and checked against the result.
-    G_n is g, so the certificates of the final step are returned as they
-    are.
+    Each distinct candidate is tested once per step.  Rule 1 reads the
+    components of G' - Ω and G' - (Ω | a) off Ω's certificate
+    (:func:`lift_pmc`); rules 2 and 3 flood G'.  Δ(G') is carried over
+    from Δ(G) (:func:`~holefree.separators.extend_minimal_separators`,
+    under ``cap_seps``): each S in Δ(G) lifts to S if it stays minimal and
+    to S | a if two of its full components meet N(a), and the separators
+    that avoid a with a in a full component are the minimal a,b-separators
+    of Kloks & Kratsch (SIAM J. Comput. 1998), closed from N[a].  Δ(G')
+    is the T list of the next step; the caller-provided complete family is
+    used for the final step and checked against the result.  G_n is g, so
+    the certificates of the final step are returned as they are.
 
     Bruteforce mode tests every nonempty subset (oracle, small n only).
     """
@@ -141,22 +184,22 @@ def enumerate_pmcs(
     if minseps is None:
         raise PreconditionError("incremental enumeration needs the minimal separators")
 
-    # the PMCs of G_1; G_1 - {0} is empty
+    # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
     family: dict[int, Pmc] = {1: Pmc(1, (), ())} if g.n else {}
+    seps_i: list[Separator] = []
     prev_seps: set[int] = set()  # the minimal separators of G_{i-1}
     for i in range(2, g.n + 1):
         gi = g.prefix(i)
         a = 1 << (i - 1)
-        seps_i = minseps if i == g.n else enumerate_minimal_separators(gi, cap=cap_seps)
+        seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i, cap=cap_seps)
         kept: dict[int, Pmc] = {}
         tested: set[int] = set()
-        for prev in family:
-            for cand in (prev, prev | a):
-                tested.add(cand)
-                pmc = is_pmc(gi, cand)
-                if pmc is not None:
-                    kept[cand] = pmc
-                    break
+        for prev in family.values():
+            tested.add(prev.set)
+            tested.add(prev.set | a)
+            pmc = lift_pmc(gi, prev)
+            if pmc is not None:
+                kept[pmc.set] = pmc
         candidates: set[int] = set()
         for s in seps_i:
             candidates.add(s.set | a)

@@ -1,8 +1,8 @@
 """Minimal-separator machinery.
 
-Full-component analysis, the complete close-neighborhood enumeration,
-the brute-force oracle, and the bounded witness that covers a separator
-from inside one full component.
+Full-component analysis, the complete close-neighborhood enumeration and
+its one-more-vertex update, the brute-force oracle, and the bounded witness
+that covers a separator from inside one full component.
 """
 
 from __future__ import annotations
@@ -93,6 +93,116 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
 
     out.sort(key=lambda s: to_tuple(s.set))
     return out
+
+
+def absorb_last_vertex(
+    g: Graph, comps: tuple[int, ...], nbrs: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Components of g - X with their neighborhoods, from those of
+    (g - a) - X in canonical order, where a is the last vertex of g and X
+    avoids a; also the index of a's component.
+
+    The components that meet N(a) merge with a into one, placed where the
+    first of them was (last if there is none, as a is the largest vertex);
+    its neighborhood is the union of theirs and N(a), minus itself.  The
+    others keep their neighborhoods.
+    """
+    adj_a = g.adj[-1]
+    out_c: list[int] = []
+    out_n: list[int] = []
+    at = -1
+    merged = 1 << (g.n - 1)
+    merged_nb = adj_a
+    for comp, nb in zip(comps, nbrs):
+        if comp & adj_a:
+            if at < 0:
+                at = len(out_c)
+                out_c.append(0)
+                out_n.append(0)
+            merged |= comp
+            merged_nb |= nb
+        else:
+            out_c.append(comp)
+            out_n.append(nb)
+    if at < 0:
+        at = len(out_c)
+        out_c.append(0)
+        out_n.append(0)
+    out_c[at] = merged
+    out_n[at] = merged_nb & ~merged
+    return tuple(out_c), tuple(out_n), at
+
+
+def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> list[Separator]:
+    """All minimal separators of g from ``prev``, those of g minus its last
+    vertex a, canonically sorted; the same list as
+    :func:`enumerate_minimal_separators` on g, with the same cap.
+
+    Each S in ``prev`` gives S if it is still minimal in g, and S + a if
+    two or more of its old full components meet N(a); both can hold.  The
+    old components of S are those of g - (S + a), and those of g - S follow
+    from them by :func:`absorb_last_vertex`, so neither needs a flood.
+    The rest avoid a and have a in a full component: they are the minimal
+    a,b-separators over all b, listed as by Kloks & Kratsch ("Listing all
+    minimal separators of a graph", SIAM J. Comput. 1998).  The seeds are
+    N(C) for the components C of g - N[a], and a separator S moves to N(D)
+    for each x in S and each component D of C - N(x), C a full component
+    of S without a.  The move that takes D to be b's component brings S
+    one vertex x closer to any minimal a,b-separator T with S inside
+    C_a(T) | T, so every T is reached from the seed on b's side.  Every
+    candidate is re-validated and kept only if a lies in a full component.
+    """
+    bit = 1 << (g.n - 1)
+    adj_a = g.adj[-1]
+    found: dict[int, Separator] = {}
+
+    def add(sep: Separator) -> None:
+        found[sep.set] = sep
+        if cap and len(found) > cap:
+            raise CapacityExceededError("minimal separators", cap, len(found))
+
+    for old in prev:
+        s = old.set
+        # stand-in neighborhoods, S for the full components and 0 for the
+        # rest, decide fullness exactly except for a's component when it
+        # merged no full one; that one alone needs its real N(C)
+        stand_in = tuple(s if j in old.full else 0 for j in range(len(old.components)))
+        comps, nbrs, at = absorb_last_vertex(g, old.components, stand_in)
+        full = tuple(
+            j for j, nb in enumerate(nbrs)
+            if nb == s or (j == at and g.neighborhood(comps[j]) == s)
+        )
+        if len(full) >= 2:
+            add(Separator(s, comps, full))
+        full = tuple(j for j in old.full if old.components[j] & adj_a)
+        if len(full) >= 2:
+            add(Separator(s | bit, old.components, full))
+
+    seen: set[int] = set()
+    queue: deque[Separator] = deque()
+
+    def consider(mask: int) -> None:
+        if mask in seen:
+            return
+        seen.add(mask)
+        sep = found.get(mask) or analyze_separator(g, mask)
+        if sep.is_minimal and any(sep.components[j] & bit for j in sep.full):
+            add(sep)
+            queue.append(sep)
+
+    for _, nb in g.flood(g.full_mask & ~(adj_a | bit)):
+        consider(nb)
+    while queue:
+        sep = queue.popleft()
+        for j in sep.full:
+            comp = sep.components[j]
+            if comp & bit:
+                continue
+            for x in iter_bits(sep.set):
+                for _, nb in g.flood(comp & ~g.adj[x]):
+                    consider(nb)
+
+    return sorted(found.values(), key=lambda s: to_tuple(s.set))
 
 
 def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[Separator]:

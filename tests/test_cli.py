@@ -127,13 +127,13 @@ def test_analyze_forwards_cap_seps_to_prefix_graphs(prism3_file, capsys, monkeyp
     import holefree.pmc as pmc
 
     caps = []
-    real = pmc.enumerate_minimal_separators
+    real = pmc.extend_minimal_separators
 
-    def recording(g, cap=0):
+    def recording(g, prev, cap=0):
         caps.append(cap)
-        return real(g, cap=cap)
+        return real(g, prev, cap=cap)
 
-    monkeypatch.setattr(pmc, "enumerate_minimal_separators", recording)
+    monkeypatch.setattr(pmc, "extend_minimal_separators", recording)
     assert main(["analyze", prism3_file, "--cap-seps", "50", "--json"]) == 0
     assert _json_out(capsys)["analysis"]["pmcs"] == 12
     assert caps and set(caps) == {50}

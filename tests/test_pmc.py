@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from holefree.bits import iter_bits, mask_of, to_tuple
-from holefree.errors import PreconditionError
+from holefree.errors import CapacityExceededError, PreconditionError
 from holefree.families import (
     complete_bipartite,
     complete_graph,
@@ -25,9 +25,14 @@ from holefree.pmc import (
     find_covering_component,
     find_separator_cover_pair,
     is_pmc,
+    lift_pmc,
 )
 from holefree.recognition import clique_tree, find_long_hole
-from holefree.separators import analyze_separator, enumerate_minimal_separators
+from holefree.separators import (
+    analyze_separator,
+    enumerate_minimal_separators,
+    extend_minimal_separators,
+)
 
 from oracles import c4, naive_neighborhood, p4, reference_certify_pmc, reference_pmcs
 
@@ -170,6 +175,100 @@ def test_incremental_matches_reference_rule_on_lhf(n):
 def test_incremental_matches_reference_rule_on_prisms(k):
     g = prism_graph(k)
     assert _incremental_sets(g) == reference_pmcs(g)
+
+
+# -- prefix steps: Δ(G_i) and the rule-1 certificates carried from G_{i-1} --
+
+
+def _prefix_steps(g):
+    """(G_i, Δ(G_i) carried over step by step from Δ(G_1) = []) for i = 1..n."""
+    seps = []
+    for i in range(1, g.n + 1):
+        gi = g.prefix(i)
+        if i > 1:
+            seps = extend_minimal_separators(gi, seps)
+        yield gi, seps
+
+
+def _assert_prefix_separators(g):
+    for gi, seps in _prefix_steps(g):
+        assert seps == enumerate_minimal_separators(gi), (g.adj, gi.n)
+
+
+def _assert_rule_one_certificates(g):
+    family = []
+    for gi, seps in _prefix_steps(g):
+        a = 1 << (gi.n - 1)
+        for prev in family:
+            expected = is_pmc(gi, prev.set) or is_pmc(gi, prev.set | a)
+            assert lift_pmc(gi, prev) == expected, (g.adj, gi.n, to_tuple(prev.set))
+        family = enumerate_pmcs(gi, seps)
+
+
+# adjacency whose prefix G_3 is edgeless: Δ(G_4) = {∅, {3}}, both lifts of ∅
+DISCONNECTED_PREFIX = Graph(4, [(0, 3), (1, 3)])
+
+
+def test_prefix_separators_keep_both_lifts_of_one_separator():
+    steps = list(_prefix_steps(DISCONNECTED_PREFIX))
+    assert [s.set for s in steps[2][1]] == [0]
+    assert [s.set for s in steps[3][1]] == [0, 1 << 3]
+    _assert_prefix_separators(DISCONNECTED_PREFIX)
+
+
+def _random_prefix_corpus():
+    """320 ER graphs with n <= 14, sparse enough that many prefixes are
+    disconnected, and the edge-case orders above."""
+    rng = random.Random(53)
+    graphs = [er_graph(rng.randint(1, 14), 0.05 + 0.9 * (i % 10) / 9, rng) for i in range(320)]
+    return graphs + list(EDGE_CASE_GRAPHS.values()) + [DISCONNECTED_PREFIX]
+
+
+def test_prefix_separators_match_enumeration_on_random_graphs():
+    disconnected = 0
+    for g in _random_prefix_corpus():
+        _assert_prefix_separators(g)
+        disconnected += sum(not g.prefix(i).is_connected() for i in range(2, g.n + 1))
+    assert disconnected > 300
+
+
+def test_rule_one_certificates_match_certify_on_random_graphs():
+    for g in _random_prefix_corpus()[::4]:
+        _assert_rule_one_certificates(g)
+
+
+def _lhf_graphs(n):
+    rng = random.Random(n)
+    chordal = random_chordal(n, rng.randint(n, 3 * n), rng)
+    return chordal, grow_lhf(chordal, rng.randint(1, n // 2), rng)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_prefix_steps_match_on_lhf(n):
+    for g in _lhf_graphs(n):
+        _assert_prefix_separators(g)
+        _assert_rule_one_certificates(g)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_prefix_steps_match_on_prisms(k):
+    g = prism_graph(k)
+    _assert_prefix_separators(g)
+    _assert_rule_one_certificates(g)
+
+
+def test_prefix_cap_trip_matches_enumeration():
+    g = prism_graph(5)
+    sizes = [len(enumerate_minimal_separators(g.prefix(i))) for i in range(1, g.n + 1)]
+    # a cap below |Δ(G_{n-1})| trips at a prefix step, before the final one
+    for cap in range(1, sizes[-2]):
+        first = next(i for i in range(1, g.n + 1) if sizes[i - 1] > cap)
+        with pytest.raises(CapacityExceededError) as expected:
+            enumerate_minimal_separators(g.prefix(first), cap=cap)
+        with pytest.raises(CapacityExceededError) as got:
+            enumerate_pmcs(g, enumerate_minimal_separators(g), cap_seps=cap)
+        assert str(got.value) == str(expected.value)
+        assert got.value.count == cap + 1
 
 
 def test_every_emitted_pmc_passes_test(random_corpus_12):

@@ -161,15 +161,20 @@ def test_triangulation_c5_two_chords_sharing_endpoint():
 
 
 def test_triangulation_minimal_on_random_graphs():
+    # MCS-M alone must give an inclusion-minimal fill of nonedges
     rng = random.Random(25)
-    for _ in range(30):
-        g = er_graph(rng.randint(4, 10), rng.uniform(0.2, 0.7), rng)
+    fills = 0
+    for i in range(300):
+        g = er_graph(rng.randint(4, 10 if i < 30 else 24), rng.uniform(0.1, 0.7), rng)
         fill = minimal_triangulation(g)
+        assert not any(g.has_edge(u, v) for u, v in fill)
         h = g.with_edges(fill)
         assert is_chordal(h).chordal
+        fills += len(fill)
         for skip in fill:
             rest = [e for e in fill if e != skip]
             assert not is_chordal(g.with_edges(rest)).chordal
+    assert fills > 1000
 
 
 # -- clique trees -------------------------------------------------------------
