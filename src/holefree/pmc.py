@@ -10,10 +10,12 @@ or S | (T & C) for a minimal separator S of G' that avoids a and is new in
 G', a minimal separator T of G and a full component C of S in G'.  Every
 candidate is certified by the test above.  The sweep carries its state from
 G to G': the certificate of Ω gives the components of G' - Ω and of
-G' - (Ω + a) without a flood, and the minimal separators of G' are those of
+G' - (Ω + a) without a flood, a minimal separator S of G gives those of
+G' - (S + a) in the same way, and the minimal separators of G' are those of
 G lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
 component, generated as by Kloks & Kratsch ("Listing all minimal separators
-of a graph", SIAM J. Comput. 1998).
+of a graph", SIAM J. Comput. 1998).  Only S | (T & C), and S + a for a new
+S, need a flood.
 """
 
 from __future__ import annotations
@@ -134,6 +136,34 @@ def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
     return kept
 
 
+def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
+    """Certificate in g of S + a, for a minimal separator S of g minus its
+    last vertex a, given with its components there; None if S + a is not a
+    PMC of g.
+
+    No flood: the components of g - (S + a) are those of (g - a) - S, in
+    the same order, and each one's neighborhood gains a exactly when it
+    meets N(a).  So a full one that meets N(a) sees all of S + a, which
+    fails at once.  Otherwise a full one covers the nonedges inside S, and
+    S + a is a PMC iff each vertex of S - N(a) lies in N(C) for some
+    component C that meets N(a); only those neighborhoods are needed to
+    reject.  An accepted S + a passes the same check as every candidate,
+    with S as the neighborhood of each full component.
+    """
+    adj_a = g.adj[-1]
+    comps = sep.components
+    if any(comps[j] & adj_a for j in sep.full):
+        return None
+    seen = 0
+    for c in comps:
+        if c & adj_a:
+            seen |= g.neighborhood(c)
+    if sep.set & ~adj_a & ~seen:
+        return None
+    nbrs = tuple(sep.set if j in sep.full else g.neighborhood(c) for j, c in enumerate(comps))
+    return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)[0]
+
+
 def enumerate_pmcs(
     g: Graph,
     minseps: list[Separator] | None = None,
@@ -154,15 +184,29 @@ def enumerate_pmcs(
        S not a minimal separator of G, each minimal separator T of G and
        each full component C of S in G'.
 
-    Each distinct candidate is tested once per step.  Rule 1 reads the
+    Each distinct candidate is tested once per step.  No minimal separator
+    of G' is tested: it has two full components, so it is never a PMC.
+    S | a is one when a is in S, as it is then S.  Rule 1 reads the
     components of G' - Ω and G' - (Ω | a) off Ω's certificate
-    (:func:`lift_pmc`); rules 2 and 3 flood G'.  Δ(G') is carried over
-    from Δ(G) (:func:`~holefree.separators.extend_minimal_separators`,
-    under ``cap_seps``): each S in Δ(G) lifts to S if it stays minimal and
-    to S | a if two of its full components meet N(a), and the separators
-    that avoid a with a in a full component are the minimal a,b-separators
-    of Kloks & Kratsch (SIAM J. Comput. 1998), closed from N[a].  Δ(G')
-    is the T list of the next step; the caller-provided complete family is
+    (:func:`lift_pmc`), and rule 2 reads those of G' - (S | a) off S's
+    components in G when S is in Δ(G) (:func:`lift_separator`).  The other
+    candidates flood G'.
+
+    Rule 3 skips the full component C_a that holds a.  In the theorem, a
+    PMC Ω of G' made by rule 3 has a not in Ω and S = N(C_a), for C_a the
+    component of G' - Ω that holds a.  Then C_a is a full component of S
+    disjoint from Ω.  Ω - S is not empty, as S is not a PMC, and lies in
+    one full component of S, so that component is not C_a.  The candidates
+    of each other full component C come from one pass over Δ(G), which
+    keeps each distinct S | (T & C) once.
+
+    Δ(G') is carried over from Δ(G)
+    (:func:`~holefree.separators.extend_minimal_separators`, under
+    ``cap_seps``): each S in Δ(G) lifts to S if it stays minimal and to
+    S | a if two of its full components meet N(a), and the separators that
+    avoid a with a in a full component are the minimal a,b-separators of
+    Kloks & Kratsch (SIAM J. Comput. 1998), closed from N[a].  Δ(G') is
+    the T list of the next step; the caller-provided complete family is
     used for the final step and checked against the result.  G_n is g, so
     the certificates of the final step are returned as they are.
 
@@ -187,11 +231,12 @@ def enumerate_pmcs(
     # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
     family: dict[int, Pmc] = {1: Pmc(1, (), ())} if g.n else {}
     seps_i: list[Separator] = []
-    prev_seps: set[int] = set()  # the minimal separators of G_{i-1}
+    prev_seps: dict[int, Separator] = {}  # the minimal separators of G_{i-1}
     for i in range(2, g.n + 1):
         gi = g.prefix(i)
         a = 1 << (i - 1)
         seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i, cap=cap_seps)
+        seps_now = {s.set: s for s in seps_i}
         kept: dict[int, Pmc] = {}
         tested: set[int] = set()
         for prev in family.values():
@@ -202,28 +247,34 @@ def enumerate_pmcs(
                 kept[pmc.set] = pmc
         candidates: set[int] = set()
         for s in seps_i:
-            candidates.add(s.set | a)
-            if s.set & a or s.set in prev_seps:
-                continue
-            for idx in s.full:
-                comp = s.components[idx]
-                for t in prev_seps:
-                    inter = t & comp
-                    if inter:
-                        candidates.add(s.set | inter)
-        for cand in candidates - tested:
+            if s.set & a:
+                continue  # S | a is S, and rule 3 needs a not in S
+            old = prev_seps.get(s.set)
+            if old is None:
+                candidates.add(s.set | a)
+                for idx in s.full:
+                    comp = s.components[idx]
+                    if comp & a:
+                        continue  # C_a, see the docstring
+                    candidates |= {s.set | (t & comp) for t in prev_seps}
+            elif s.set | a not in tested:
+                # no other rule yields S | a, so it needs no entry in tested
+                pmc = lift_separator(gi, old)
+                if pmc is not None:
+                    kept[pmc.set] = pmc
+        for cand in candidates - tested - seps_now.keys():
             pmc = is_pmc(gi, cand)
             if pmc is not None:
                 kept[cand] = pmc
         family = kept
-        prev_seps = {s.set for s in seps_i}
+        prev_seps = seps_now
         if cap and len(family) > cap:
             raise CapacityExceededError("potential maximal cliques", cap, len(family))
 
-    # the last step certified the family on g.prefix(g.n), which is g
-    minsep_masks = {s.set for s in minseps}
+    # the last step certified the family on g.prefix(g.n), which is g, and
+    # left the caller's minseps in prev_seps
     for pmc in family.values():
-        if any(nb not in minsep_masks for nb in pmc.neighborhoods):
+        if any(nb not in prev_seps for nb in pmc.neighborhoods):
             raise PreconditionError("provided minimal separator family is incomplete")
     return sorted(family.values(), key=lambda p: to_tuple(p.set))
 

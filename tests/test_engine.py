@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,7 +30,7 @@ from holefree.graph import Graph
 from holefree.pmc import block_family, enumerate_pmcs
 from holefree.separators import enumerate_minimal_separators
 
-from oracles import c4, exhaustive_mwis, p4, reference_caps
+from oracles import c4, exhaustive_mwis, frank_chordal_mwis, p4, reference_caps
 
 
 def _pipeline(g):
@@ -152,6 +153,25 @@ def _networkx_mwis_weight(g):
     comp = nx.complement(h)
     comp.add_nodes_from(h.nodes(data=True))
     return Fraction(nx.max_weight_clique(comp, weight="weight")[1], scale)
+
+
+def test_frank_oracle_matches_exhaustive(chordal_corpus_50):
+    rng = random.Random(7)
+    for g in chordal_corpus_50:
+        g = random_weights(g, rng, "zeros")
+        weight, witness = frank_chordal_mwis(g)
+        assert weight == exhaustive_mwis(g)[0]
+        assert g.is_independent(mask_of(witness)) and g.weight_of(mask_of(witness)) == weight
+
+
+@pytest.mark.parametrize("n", [200, 240])
+def test_matches_frank_on_large_chordal(n):
+    rng = random.Random(n)
+    g = random_weights(random_chordal(n, 2 * n, rng), rng, "int")
+    res = solve_mwis(g)
+    assert res.weight == frank_chordal_mwis(g)[0]
+    assert not any(g.has_edge(u, v) for u, v in combinations(res.vertices, 2))
+    assert sum(g.weights[v] for v in res.vertices) == res.weight
 
 
 @pytest.mark.parametrize("style", ["decimal", "skew"])

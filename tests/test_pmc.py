@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import holefree.pmc
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import CapacityExceededError, PreconditionError
 from holefree.families import (
@@ -26,6 +27,7 @@ from holefree.pmc import (
     find_separator_cover_pair,
     is_pmc,
     lift_pmc,
+    lift_separator,
 )
 from holefree.recognition import clique_tree, find_long_hole
 from holefree.separators import (
@@ -205,6 +207,22 @@ def _assert_rule_one_certificates(g):
         family = enumerate_pmcs(gi, seps)
 
 
+def _assert_rule_two_certificates(g):
+    """lift_separator gives certify_pmc's verdict on S | a, with the same
+    components and neighborhoods in order, for every S in Δ(G_{i-1}); the
+    carried S are among them.  Returns the number of PMCs it accepted."""
+    accepted = 0
+    prev = []
+    for gi, seps in _prefix_steps(g):
+        a = 1 << (gi.n - 1)
+        for old in prev:
+            expected = is_pmc(gi, old.set | a)
+            assert lift_separator(gi, old) == expected, (g.adj, gi.n, to_tuple(old.set))
+            accepted += expected is not None
+        prev = seps
+    return accepted
+
+
 # adjacency whose prefix G_3 is edgeless: Δ(G_4) = {∅, {3}}, both lifts of ∅
 DISCONNECTED_PREFIX = Graph(4, [(0, 3), (1, 3)])
 
@@ -237,6 +255,33 @@ def test_rule_one_certificates_match_certify_on_random_graphs():
         _assert_rule_one_certificates(g)
 
 
+def test_rule_two_certificates_match_certify_on_random_graphs():
+    assert sum(_assert_rule_two_certificates(g) for g in _random_prefix_corpus()) > 100
+
+
+def test_sweep_never_tests_a_minimal_separator(monkeypatch):
+    """A minimal separator is never a PMC, so the sweep must not spend a
+    flood on one; S | a is one for each minimal separator S that holds a."""
+    calls = []
+    real = holefree.pmc.is_pmc
+
+    def spy(g, cand):
+        calls.append((g, cand))
+        return real(g, cand)
+
+    monkeypatch.setattr(holefree.pmc, "is_pmc", spy)
+    graphs = [*_lhf_graphs(20), *_lhf_graphs(30), prism_graph(5), *_random_prefix_corpus()[::4]]
+    for g in graphs:
+        enumerate_pmcs(g, enumerate_minimal_separators(g))
+    monkeypatch.undo()
+    assert len(calls) > 1000
+    seps_of = {}
+    for gi, cand in calls:
+        if gi.adj not in seps_of:
+            seps_of[gi.adj] = {s.set for s in enumerate_minimal_separators(gi)}
+        assert cand not in seps_of[gi.adj], (gi.adj, to_tuple(cand))
+
+
 def _lhf_graphs(n):
     rng = random.Random(n)
     chordal = random_chordal(n, rng.randint(n, 3 * n), rng)
@@ -248,6 +293,7 @@ def test_prefix_steps_match_on_lhf(n):
     for g in _lhf_graphs(n):
         _assert_prefix_separators(g)
         _assert_rule_one_certificates(g)
+    assert sum(_assert_rule_two_certificates(g) for g in _lhf_graphs(n)) > 0
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
@@ -255,6 +301,7 @@ def test_prefix_steps_match_on_prisms(k):
     g = prism_graph(k)
     _assert_prefix_separators(g)
     _assert_rule_one_certificates(g)
+    _assert_rule_two_certificates(g)
 
 
 def test_prefix_cap_trip_matches_enumeration():

@@ -1,13 +1,20 @@
-"""Property tests: incremental PMC enumeration against the subset scan."""
+"""Property tests: incremental PMC enumeration against the subset scan, and
+laws of the file format and of the solver."""
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from holefree.graph import Graph  # noqa: E402
+from holefree.engine import solve_mwis  # noqa: E402
+from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
 from holefree.pmc import enumerate_pmcs  # noqa: E402
 from holefree.separators import enumerate_minimal_separators  # noqa: E402
+
+derandomized = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -18,8 +25,50 @@ def graphs(draw, max_n=10):
     return Graph(n, [e for e, keep in zip(pairs, present) if keep])
 
 
-@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@st.composite
+def weighted_graphs(draw, weights=st.integers(min_value=0, max_value=9)):
+    g = draw(graphs())
+    return g.with_weights(draw(st.lists(weights, min_size=g.n, max_size=g.n)))
+
+
+@derandomized
 @hypothesis.given(graphs())
 def test_incremental_pmcs_equal_bruteforce_with_certificates(g):
     incremental = enumerate_pmcs(g, enumerate_minimal_separators(g))
     assert incremental == enumerate_pmcs(g, mode="bruteforce")
+
+
+@derandomized
+@hypothesis.given(
+    weighted_graphs(st.builds(Fraction, st.integers(0, 999), st.sampled_from((1, 2, 3, 8, 10, 12))))
+)
+def test_emit_parse_round_trip(g):
+    text = emit_graph(g)
+    back = parse_graph(text)
+    assert (back.n, back.adj, back.weights) == (g.n, g.adj, g.weights)
+    assert emit_graph(back) == text
+
+
+@derandomized
+@hypothesis.given(weighted_graphs())
+def test_witness_is_independent_with_the_reported_weight(g):
+    res = solve_mwis(g)
+    assert not any(g.has_edge(u, v) for u, v in combinations(res.vertices, 2))
+    assert sum((g.weights[v] for v in res.vertices), Fraction(0)) == res.weight
+
+
+@derandomized
+@hypothesis.given(weighted_graphs(), st.integers(min_value=1, max_value=7))
+def test_scaling_the_weights_scales_the_weight_and_keeps_the_witness(g, c):
+    res = solve_mwis(g)
+    scaled = solve_mwis(g.with_weights([c * w for w in g.weights]))
+    assert scaled.weight == c * res.weight
+    assert scaled.vertices == res.vertices
+
+
+@derandomized
+@hypothesis.given(weighted_graphs(), st.integers(min_value=1, max_value=9))
+def test_an_isolated_vertex_adds_its_weight(g, w):
+    grown = solve_mwis(Graph(g.n + 1, g.edges(), [*g.weights, w]))
+    assert grown.weight == solve_mwis(g).weight + w
+    assert g.n in grown.vertices

@@ -177,6 +177,27 @@ def test_triangulation_minimal_on_random_graphs():
     assert fills > 1000
 
 
+def _networkx_graph(nx, g, extra=()):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    h.add_edges_from(extra)
+    return h
+
+
+def test_chordality_and_triangulation_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(30)
+    chordal = 0
+    for i in range(200):
+        g = er_graph(rng.randint(1, 30), 0.02 + 0.9 * (i % 10) / 9, rng)
+        res = is_chordal(g)
+        assert res.chordal == nx.is_chordal(_networkx_graph(nx, g))
+        chordal += res.chordal
+        assert nx.is_chordal(_networkx_graph(nx, g, minimal_triangulation(g)))
+    assert 20 < chordal < 180
+
+
 # -- clique trees -------------------------------------------------------------
 
 def test_clique_tree_p4():
