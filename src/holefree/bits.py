@@ -27,7 +27,3 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
-
-
-def lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1

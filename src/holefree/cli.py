@@ -219,6 +219,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _cap(text: str) -> int:
+    """A cap option: a nonnegative int, 0 meaning unlimited."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap must be 0 or more, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holefree",
@@ -231,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("graph")
     p_solve.add_argument("--strategy", choices=STRATEGIES, default="auto")
     p_solve.add_argument(
-        "--cap-seps", type=int, default=5000, help="separator cap, 0 = unlimited"
+        "--cap-seps", type=_cap, default=5000, help="separator cap, 0 = unlimited"
     )
     p_solve.add_argument(
-        "--cap-pmcs", type=int, default=50000, help="PMC cap, 0 = unlimited"
+        "--cap-pmcs", type=_cap, default=50000, help="PMC cap, 0 = unlimited"
     )
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
@@ -248,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="separator/PMC structure report")
     p_analyze.add_argument("graph")
     p_analyze.add_argument("--max-k", type=int, default=4)
-    p_analyze.add_argument("--cap-seps", type=int, default=0)
-    p_analyze.add_argument("--cap-pmcs", type=int, default=0)
+    p_analyze.add_argument("--cap-seps", type=_cap, default=0)
+    p_analyze.add_argument("--cap-pmcs", type=_cap, default=0)
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -3,12 +3,16 @@
 Full-component analysis, the complete close-neighborhood enumeration and
 its one-more-vertex update, the brute-force oracle, and the bounded witness
 that covers a separator from inside one full component.
+
+Both enumerations generate every candidate as N(C) for a component C that
+a flood has just returned.  Such a C is connected with N(C) the candidate
+itself, so it is a component of g minus the candidate, and a full one;
+validating the candidate floods only the rest of the graph.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 from .bits import iter_bits, to_tuple
@@ -47,9 +51,25 @@ class Separator:
 
 def analyze_separator(g: Graph, sep: int) -> Separator:
     """Decompose g minus sep into components and mark the full ones."""
-    pairs = g.flood(g.full_mask & ~sep)
+    return _separator(sep, g.flood(g.full_mask & ~sep))
+
+
+def _separator(sep: int, pairs: list[tuple[int, int]]) -> Separator:
     full = tuple(i for i, (_, nb) in enumerate(pairs) if nb == sep)
     return Separator(sep, tuple(c for c, _ in pairs), full)
+
+
+def _separator_of_component(g: Graph, comp: int, sep: int) -> Separator:
+    """analyze_separator(g, sep) for sep = N(comp), comp connected.
+
+    Such a comp is a full component of g - sep, so only g - (sep | comp)
+    is flooded, and comp goes in at its canonical place: after the
+    components that hold a vertex below its minimum.
+    """
+    pairs = g.flood(g.full_mask & ~(sep | comp))
+    below = (comp & -comp) - 1
+    pairs.insert(sum(1 for c, _ in pairs if c & below), (comp, sep))
+    return _separator(sep, pairs)
 
 
 def _is_minimal_separator(g: Graph, sep: int) -> bool:
@@ -59,37 +79,47 @@ def _is_minimal_separator(g: Graph, sep: int) -> bool:
 def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     """All minimal separators of g, canonically sorted and duplicate free.
 
-    Seeds with N(C) for every component C of g - N[v], then expands each
-    discovered separator S by N(C) for components C of g - (S | N[x]) over
-    x in S.  Every candidate is re-validated before emission.  With cap > 0
-    the search aborts once more than cap separators are found.
+    The generation lemma of Berry, Bordat & Cogis ("Generating all the
+    minimal separators of a graph", IJFCS 2000): the seeds N(C), for the
+    components C of g - N[v] over all v, are minimal separators, and so
+    is N(C) for every component C of g - (S | N[x]), x in a minimal
+    separator S; every minimal separator is a seed or is reached from one
+    by such moves.  Each candidate is validated on its whole decomposition
+    from the C that produced it (see the module docstring) and emitted
+    only with two or more full components.
+
+    Pending separators are expanded depth-first.  Every found separator
+    is expanded exactly once whatever the order, so the sorted result and
+    the flood count of a complete run are those of any order; expanding
+    the newest first reaches unseen separators sooner, which only
+    shortens the run up to a cap trip.  With cap > 0 the search aborts
+    once more than cap separators are found.
     """
     seen: set[int] = set()
     out: list[Separator] = []
-    queue: deque[Separator] = deque()
+    stack: list[Separator] = []
 
-    def consider(mask: int) -> None:
-        if mask in seen:
-            return
-        seen.add(mask)
-        sep = analyze_separator(g, mask)
-        if sep.is_minimal:
-            out.append(sep)
-            if cap and len(out) > cap:
-                raise CapacityExceededError("minimal separators", cap, len(out))
-            queue.append(sep)
+    def regions():
+        # the seeds first, then the expansions of the separators found;
+        # the loop below pushes those while this generator is running
+        for v in range(g.n):
+            yield g.full_mask & ~(g.adj[v] | (1 << v))
+        while stack:
+            s = stack.pop().set
+            for x in iter_bits(s):
+                yield g.full_mask & ~(s | g.adj[x] | (1 << x))
 
-    for v in range(g.n):
-        closed = g.adj[v] | (1 << v)
-        for _, nb in g.flood(g.full_mask & ~closed):
-            consider(nb)
-
-    while queue:
-        sep = queue.popleft()
-        for x in iter_bits(sep.set):
-            removed = sep.set | g.adj[x] | (1 << x)
-            for _, nb in g.flood(g.full_mask & ~removed):
-                consider(nb)
+    for region in regions():
+        for comp, nb in g.flood(region):
+            if nb in seen:
+                continue
+            seen.add(nb)
+            sep = _separator_of_component(g, comp, nb)
+            if sep.is_minimal:
+                out.append(sep)
+                if cap and len(out) > cap:
+                    raise CapacityExceededError("minimal separators", cap, len(out))
+                stack.append(sep)
 
     out.sort(key=lambda s: to_tuple(s.set))
     return out
@@ -150,7 +180,9 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
     of S without a.  The move that takes D to be b's component brings S
     one vertex x closer to any minimal a,b-separator T with S inside
     C_a(T) | T, so every T is reached from the seed on b's side.  Every
-    candidate is re-validated and kept only if a lies in a full component.
+    candidate is validated from the D or C that produced it, as in
+    :func:`enumerate_minimal_separators`, depth-first like it, and kept
+    only if a lies in a full component.
     """
     bit = 1 << (g.n - 1)
     adj_a = g.adj[-1]
@@ -179,28 +211,28 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
             add(Separator(s | bit, old.components, full))
 
     seen: set[int] = set()
-    queue: deque[Separator] = deque()
+    stack: list[Separator] = []
 
-    def consider(mask: int) -> None:
-        if mask in seen:
-            return
-        seen.add(mask)
-        sep = found.get(mask) or analyze_separator(g, mask)
-        if sep.is_minimal and any(sep.components[j] & bit for j in sep.full):
-            add(sep)
-            queue.append(sep)
+    def regions():
+        # as in enumerate_minimal_separators: the seed, then the moves
+        yield g.full_mask & ~(adj_a | bit)
+        while stack:
+            sep = stack.pop()
+            for j in sep.full:
+                comp = sep.components[j]
+                if not comp & bit:
+                    for x in iter_bits(sep.set):
+                        yield comp & ~g.adj[x]
 
-    for _, nb in g.flood(g.full_mask & ~(adj_a | bit)):
-        consider(nb)
-    while queue:
-        sep = queue.popleft()
-        for j in sep.full:
-            comp = sep.components[j]
-            if comp & bit:
+    for region in regions():
+        for comp, nb in g.flood(region):
+            if nb in seen:
                 continue
-            for x in iter_bits(sep.set):
-                for _, nb in g.flood(comp & ~g.adj[x]):
-                    consider(nb)
+            seen.add(nb)
+            sep = found.get(nb) or _separator_of_component(g, comp, nb)
+            if sep.is_minimal and any(sep.components[j] & bit for j in sep.full):
+                add(sep)
+                stack.append(sep)
 
     return sorted(found.values(), key=lambda s: to_tuple(s.set))
 

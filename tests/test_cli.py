@@ -58,6 +58,22 @@ def test_solve_capacity_exits_3(prism3_file, capsys):
     assert main(["solve", prism3_file, "--strategy", "bt", "--cap-seps", "2"]) == 3
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["solve", "--strategy", "bt"], "--cap-seps"),
+        (["solve"], "--cap-pmcs"),
+        (["analyze"], "--cap-seps"),
+        (["analyze"], "--cap-pmcs"),
+    ],
+)
+def test_negative_cap_exits_2(c4_file, capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], c4_file, *command[1:], option, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {option}: cap must be 0 or more, got -1" in capsys.readouterr().err
+
+
 def test_solve_brute_above_oracle_limit_exits_3(tmp_path, capsys):
     f = tmp_path / "p21.gr"
     f.write_text(emit_graph(path_graph(21)))

@@ -6,7 +6,7 @@ import pytest
 
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import CapacityExceededError, OracleLimitError, PreconditionError
-from holefree.families import complete_graph, er_graph, prism_graph
+from holefree.families import complete_graph, er_graph, prism_graph, random_chordal
 from holefree.graph import Graph
 from holefree.recognition import largest_prism
 from holefree.separators import (
@@ -78,10 +78,13 @@ def test_enumeration_matches_bruteforce(random_corpus_12):
 
 
 def test_every_emitted_separator_has_two_full_components(random_corpus_12):
-    for g in random_corpus_12[:30]:
+    rng = random.Random(4070)
+    corpus = random_corpus_12[:30] + [prism_graph(k) for k in range(3, 9)]
+    corpus += [random_chordal(n, 3 * n, rng) for n in (40, 70)]
+    for g in corpus:
         for s in enumerate_minimal_separators(g):
             assert len(s.full) >= 2
-            assert analyze_separator(g, s.set).is_minimal
+            assert s == analyze_separator(g, s.set)
 
 
 def test_bruteforce_k4_empty():
@@ -93,9 +96,37 @@ def test_bruteforce_2prism_is_c4():
 
 
 def test_capacity_cap_trips():
-    with pytest.raises(CapacityExceededError) as err:
-        enumerate_minimal_separators(prism_graph(4), cap=5)
-    assert err.value.count > 5
+    # a trip happens iff |Δ| > cap, always at count cap + 1, so the
+    # visiting order cannot show in it
+    rng = random.Random(1212)
+    corpus = [prism_graph(4), prism_graph(5)]
+    corpus += [er_graph(rng.randint(8, 12), 0.3, rng) for _ in range(4)]
+    for g in corpus:
+        total = len(enumerate_minimal_separators(g))
+        assert total >= 2
+        for cap in range(1, total):
+            with pytest.raises(CapacityExceededError) as err:
+                enumerate_minimal_separators(g, cap=cap)
+            assert str(err.value) == f"minimal separators: cap {cap} exceeded ({cap + 1} found so far)"
+            assert err.value.count == cap + 1
+        assert len(enumerate_minimal_separators(g, cap=total)) == total
+
+
+def test_cap_trip_cost(monkeypatch):
+    # depth-first expansion reaches cap + 1 separators of the 13-prism in
+    # 17,267 floods; breadth-first order takes 34,648
+    floods = 0
+    real = Graph.flood
+
+    def counted(self, sub):
+        nonlocal floods
+        floods += 1
+        return real(self, sub)
+
+    monkeypatch.setattr(Graph, "flood", counted)
+    with pytest.raises(CapacityExceededError):
+        enumerate_minimal_separators(prism_graph(13), cap=5000)
+    assert floods < 25_000
 
 
 def test_oracle_limit():
