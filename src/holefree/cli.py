@@ -200,10 +200,14 @@ def cmd_generate(args) -> int:
         provenance.append(f"k={k}")
     elif args.family == "chordal":
         n, m = int(args.params[0]), int(args.params[1])
+        if m < 0:
+            raise ValueError(f"edge target must be 0 or more, got {m}")
         g = random_chordal(n, m, rng)
         provenance.append(f"n={n} m_target={m}")
     elif args.family == "lhf-filter":
         n, p = int(args.params[0]), float(args.params[1])
+        if not 0 <= p <= 1:
+            raise ValueError(f"edge probability must lie in [0, 1], got {p}")
         g = lhf_filter(n, p, rng, max_tries=args.max_tries)
         provenance.append(f"n={n} p={p}")
     elif args.family == "complement-of":
@@ -224,6 +228,14 @@ def _cap(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"cap must be 0 or more, got {value}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A count option (a prism size bound, a retry budget): 1 or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
     return value
 
 
@@ -249,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="class membership verdicts")
     p_verify.add_argument("graph")
-    p_verify.add_argument("--max-k", type=int, default=4)
+    p_verify.add_argument("--max-k", type=_count, default=4)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_analyze = sub.add_parser("analyze", help="separator/PMC structure report")
     p_analyze.add_argument("graph")
-    p_analyze.add_argument("--max-k", type=int, default=4)
+    p_analyze.add_argument("--max-k", type=_count, default=4)
     p_analyze.add_argument("--cap-seps", type=_cap, default=0)
     p_analyze.add_argument("--cap-pmcs", type=_cap, default=0)
     p_analyze.add_argument("--json", action="store_true")
@@ -265,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("family", choices=["prism", "chordal", "lhf-filter", "complement-of"])
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-tries", type=int, default=200)
+    p_gen.add_argument("--max-tries", type=_count, default=200)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_generate)
 

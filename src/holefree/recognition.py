@@ -54,8 +54,12 @@ class ChordalityResult:
 
 
 @dataclass(frozen=True)
-class CliqueTree:
-    """Tree decomposition of a chordal graph whose bags are its maximal cliques."""
+class TreeDecomposition:
+    """A tree whose nodes hold bags (vertex masks); node 0 is the root.
+
+    A clique tree is one whose bags are the maximal cliques of a chordal
+    graph.
+    """
 
     bags: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -63,6 +67,66 @@ class CliqueTree:
     @property
     def width(self) -> int:
         return max((b.bit_count() for b in self.bags), default=1) - 1
+
+    def walk(self) -> list[tuple[int, int]]:
+        """Depth-first preorder of the nodes reachable from node 0, each as
+        (node, parent) with parent -1 at the root; reversed, it is a
+        post-order."""
+        nbr: list[list[int]] = [[] for _ in self.bags]
+        for i, j in self.edges:
+            nbr[i].append(j)
+            nbr[j].append(i)
+        seen = [False] * len(self.bags)
+        order = []
+        stack = [(0, -1)]
+        while stack:
+            x, parent = stack.pop()
+            if seen[x]:
+                continue
+            seen[x] = True
+            order.append((x, parent))
+            stack.extend((y, x) for y in nbr[x] if not seen[y])
+        return order
+
+    def validate(self, g: Graph) -> None:
+        """Check that the edges form a tree and the three decomposition
+        axioms, in time linear in the bags and the graph.
+
+        With nodes - 1 edges, the walk reaching every node makes a tree.
+        Edge uv lies in a bag iff u is in reach[v], the union of the bags
+        holding v.  In a tree the bags holding v span a forest with one
+        component per holder minus the tree edges with v at both ends, so
+        they are connected iff that count is 1.
+        """
+        nodes = len(self.bags)
+        if nodes == 0:
+            raise SolverInvariantError("decomposition has no nodes")
+        if len(self.edges) != nodes - 1:
+            raise SolverInvariantError("decomposition edges do not form a tree")
+        if len(self.walk()) != nodes:
+            raise SolverInvariantError("decomposition tree is disconnected")
+        reach = [0] * g.n
+        count = [0] * g.n
+        cover = 0
+        for b in self.bags:
+            cover |= b
+        if cover != g.full_mask:
+            raise SolverInvariantError("some vertex is missing from every bag")
+        for b in self.bags:
+            for v in iter_bits(b):
+                reach[v] |= b
+                count[v] += 1
+        for i, j in self.edges:
+            for v in iter_bits(self.bags[i] & self.bags[j]):
+                count[v] -= 1
+        for v in range(g.n):
+            outside = g.adj[v] & ~reach[v]
+            if outside:  # the first such v is the smaller end of the edge
+                u = (outside & -outside).bit_length() - 1
+                raise SolverInvariantError(f"edge ({v}, {u}) is inside no bag")
+        for v in range(g.n):
+            if count[v] != 1:
+                raise SolverInvariantError(f"bags containing {v} are not connected")
 
 
 def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
@@ -270,55 +334,30 @@ class _UnionFind:
         return True
 
 
-def clique_tree(g: Graph, fill: FillIn = ()) -> CliqueTree:
+def clique_tree(g: Graph, fill: FillIn = ()) -> TreeDecomposition:
     """Clique tree of g+fill: bags are the maximal cliques of the completion.
 
-    The tree is a maximum-weight spanning forest of the clique-intersection
+    The tree is a maximum-weight spanning tree of the clique-intersection
     graph (Kruskal with canonical tie-breaking), which guarantees the
-    running-intersection property.
+    running-intersection property.  Pairs with no common vertex weigh 0 and
+    sort last, so they only join the clique trees of separate components.
+    The empty graph gets the single empty bag.
     """
     h = g.with_edges(fill) if fill else g
     res = is_chordal(h)
     if not res.chordal:
         raise PreconditionError("graph plus fill-in is not chordal")
-    bags = _maximal_cliques_chordal(h, res.elimination_order)
-    pairs = []
-    for i in range(len(bags)):
-        for j in range(i + 1, len(bags)):
-            w = (bags[i] & bags[j]).bit_count()
-            if w > 0:
-                pairs.append((-w, i, j))
-    pairs.sort()
+    bags = _maximal_cliques_chordal(h, res.elimination_order) or [0]
+    pairs = sorted(
+        (-(bags[i] & bags[j]).bit_count(), i, j)
+        for i in range(len(bags))
+        for j in range(i + 1, len(bags))
+    )
     uf = _UnionFind(len(bags))
-    edges = []
-    for _, i, j in pairs:
-        if uf.union(i, j):
-            edges.append((i, j))
-    tree = CliqueTree(tuple(bags), tuple(edges))
-    _check_running_intersection(h, tree)
+    edges = [(i, j) for _, i, j in pairs if uf.union(i, j)]
+    tree = TreeDecomposition(tuple(bags), tuple(edges))
+    tree.validate(h)
     return tree
-
-
-def _check_running_intersection(h: Graph, tree: CliqueTree) -> None:
-    nbr: dict[int, list[int]] = {i: [] for i in range(len(tree.bags))}
-    for i, j in tree.edges:
-        nbr[i].append(j)
-        nbr[j].append(i)
-    for v in range(h.n):
-        holders = [i for i, b in enumerate(tree.bags) if b >> v & 1]
-        if not holders:
-            raise SolverInvariantError(f"vertex {v} missing from all bags")
-        seen = {holders[0]}
-        stack = [holders[0]]
-        holder_set = set(holders)
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if y in holder_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != holder_set:
-            raise SolverInvariantError(f"bags containing vertex {v} are not connected")
 
 
 def find_k_prism(g: Graph, k: int) -> PrismWitness | None:

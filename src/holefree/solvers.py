@@ -8,6 +8,7 @@ weight clique via complementation.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,90 +25,16 @@ from .engine import (
     SolveConfig,
     SolveResult,
     SolveStats,
+    _lex_first,
     brute_force_mwis,
     check_independent_witness,
     solve_mwis,
 )
 from .graph import Graph
 from .pmc import dominate_pmc, is_pmc
-from .recognition import CliqueTree, clique_tree, find_k_prism, minimal_triangulation
+from .recognition import TreeDecomposition, clique_tree, find_k_prism, minimal_triangulation
 
 BRUTE_FLOOR = 25  # below this size the prism branching just uses the oracle
-
-
-@dataclass(frozen=True)
-class TreeDecomposition:
-    bags: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return max((b.bit_count() for b in self.bags), default=1) - 1
-
-    def validate(self, g: Graph) -> None:
-        """Check the three decomposition axioms and that the edges form a tree."""
-        nodes = len(self.bags)
-        if nodes == 0:
-            raise SolverInvariantError("decomposition has no nodes")
-        if len(self.edges) != nodes - 1:
-            raise SolverInvariantError("decomposition edges do not form a tree")
-        nbr: dict[int, list[int]] = {i: [] for i in range(nodes)}
-        for i, j in self.edges:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != nodes:
-            raise SolverInvariantError("decomposition tree is disconnected")
-        cover = 0
-        for b in self.bags:
-            cover |= b
-        if cover != g.full_mask:
-            raise SolverInvariantError("some vertex is missing from every bag")
-        for u, v in g.edges():
-            need = (1 << u) | (1 << v)
-            if not any(b & need == need for b in self.bags):
-                raise SolverInvariantError(f"edge ({u}, {v}) is inside no bag")
-        for v in range(g.n):
-            holders = {i for i, b in enumerate(self.bags) if b >> v & 1}
-            start = next(iter(holders))
-            seen_h = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in nbr[x]:
-                    if y in holders and y not in seen_h:
-                        seen_h.add(y)
-                        stack.append(y)
-            if seen_h != holders:
-                raise SolverInvariantError(f"bags containing {v} are not connected")
-
-
-def clique_tree_decomposition(tree: CliqueTree) -> TreeDecomposition:
-    """A clique tree as a TreeDecomposition; forest components get chained."""
-    nodes = len(tree.bags)
-    parent = list(range(nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = list(tree.edges)
-    for i, j in tree.edges:
-        parent[find(j)] = find(i)
-    roots = sorted({find(i) for i in range(nodes)})
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-        parent[find(b)] = find(a)
-    return TreeDecomposition(tree.bags, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -124,9 +51,9 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
 
     Builds a clique tree of a minimal triangulation, orients every tree
     edge toward the side whose bag union weighs more (ties toward the side
-    holding the smaller node index), and takes the bag at a node with no
-    outgoing edge: that bag is balanced.  Dominating the bag by at most
-    three vertices turns it into the degree-bounded separator N[Z].
+    holding node 0), and takes the bag at a node with no outgoing edge:
+    that bag is balanced.  Dominating the bag by at most three vertices
+    turns it into the degree-bounded separator N[Z].
     """
     if g.n == 0 or not g.is_connected():
         raise PreconditionError("balanced_separator needs a connected nonempty graph")
@@ -135,44 +62,22 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
         raise PreconditionError("total weight must be positive")
 
     tree = clique_tree(g, minimal_triangulation(g))
-    nodes = len(tree.bags)
-    nbr: dict[int, list[int]] = {i: [] for i in range(nodes)}
-    for i, j in tree.edges:
-        nbr[i].append(j)
-        nbr[j].append(i)
+    walk = tree.walk()
+    # below[x]: union of the bags in x's subtree; by running intersection
+    # the rest of the tree covers V - below[x] plus bags[x] & bags[parent]
+    below = list(tree.bags)
+    for x, parent in reversed(walk):
+        if parent >= 0:
+            below[parent] |= below[x]
+    outdeg = [0] * len(tree.bags)
+    for x, parent in walk[1:]:
+        rest = g.full_mask & ~below[x] | tree.bags[x] & tree.bags[parent]
+        if g.weight_of(below[x]) > g.weight_of(rest):
+            outdeg[parent] += 1
+        else:  # ties point toward node 0's side
+            outdeg[x] += 1
 
-    def side_nodes(start: int, banned: int) -> list[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if y != banned and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return sorted(seen)
-
-    outdeg = [0] * nodes
-    for i, j in tree.edges:
-        side_i = side_nodes(i, j)
-        side_j = side_nodes(j, i)
-        union_i = 0
-        for x in side_i:
-            union_i |= tree.bags[x]
-        union_j = 0
-        for x in side_j:
-            union_j |= tree.bags[x]
-        w_i, w_j = g.weight_of(union_i), g.weight_of(union_j)
-        if w_i > w_j:
-            outdeg[j] += 1
-        elif w_j > w_i:
-            outdeg[i] += 1
-        elif min(side_i) < min(side_j):
-            outdeg[j] += 1
-        else:
-            outdeg[i] += 1
-
-    t = next(i for i in range(nodes) if outdeg[i] == 0)
+    t = outdeg.index(0)
     bag = tree.bags[t]
     pmc = is_pmc(g, bag)
     if pmc is None:
@@ -238,11 +143,13 @@ def build_tree_decomposition(g: Graph) -> TreeDecomposition:
 def solve_treewidth_dp(
     g: Graph, td: TreeDecomposition, bag_limit: int = 25
 ) -> SolveResult:
-    """Standard MWIS dynamic program over a rooted tree decomposition.
+    """Standard MWIS dynamic program over a tree decomposition rooted at node 0.
 
-    Tables range over independent, zero-weight-free subsets of each bag;
-    child tables are merged through their projection onto the shared
-    vertices.  Witnesses are rebuilt by walking the stored choices.
+    Tables map the independent, zero-weight-free subsets of each bag to
+    (value, witness mask); child tables are merged through their projection
+    onto the shared vertices.  As in ``solve_bt``, weights are scaled once by
+    the LCM of their denominators so values are ints, and ties go to the
+    lexicographically smaller witness, which makes the result canonical.
     """
     td.validate(g)
     t0 = time.perf_counter()
@@ -250,84 +157,49 @@ def solve_treewidth_dp(
         if b.bit_count() > bag_limit:
             raise WidthLimitError(f"bag of size {b.bit_count()} above limit {bag_limit}")
 
-    nbr: dict[int, list[int]] = {i: [] for i in range(len(td.bags))}
-    for i, j in td.edges:
-        nbr[i].append(j)
-        nbr[j].append(i)
-
-    # rooted post-order from node 0
-    order = []
-    parent = {0: -1}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in nbr[x]:
-            if y != parent[x]:
-                parent[y] = x
-                stack.append(y)
-    order.reverse()
-    children = {i: [y for y in nbr[i] if parent.get(y) == i] for i in range(len(td.bags))}
-
-    usable = mask_of(v for v in range(g.n) if g.weights[v] > 0)
-
-    def independent_subsets(bag: int) -> list[int]:
-        subs = [0]
-        for v in iter_bits(bag & usable):
-            grown = [s | (1 << v) for s in subs if not s & g.adj[v]]
-            subs.extend(grown)
-        return subs
+    scale = math.lcm(*(x.denominator for x in g.weights))
+    w = [x.numerator * (scale // x.denominator) for x in g.weights]
+    usable = mask_of(v for v in range(g.n) if w[v] > 0)
+    walk = td.walk()
+    children: list[list[int]] = [[] for _ in td.bags]
+    for x, parent in walk[1:]:
+        children[parent].append(x)
 
     entries = 0
-    tables: dict[int, dict[int, tuple[Fraction, tuple]]] = {}
-    for node in order:
+    tables: list[dict[int, tuple[int, int]]] = [{} for _ in td.bags]
+    for node, _ in reversed(walk):
         bag = td.bags[node]
-        table: dict[int, tuple[Fraction, tuple]] = {}
+        own = {0: 0}  # independent subset -> its weight
+        for v in iter_bits(bag & usable):
+            own.update([(s | 1 << v, x + w[v]) for s, x in own.items() if not s & g.adj[v]])
+        # a child entry adds its value less its trace on the shared vertices,
+        # which own counts; every independent subset of a bag has an entry,
+        # so every lookup below finds one
         projections = []
         for c in children[node]:
             shared = bag & td.bags[c]
-            proj: dict[int, tuple[Fraction, int]] = {}
-            for sub, (val, _) in tables[c].items():
+            proj: dict[int, tuple[int, int]] = {}
+            for sub, (value, witness) in tables[c].items():
                 key = sub & shared
-                adj_val = val - g.weight_of(key)
-                cur = proj.get(key)
-                if cur is None or adj_val > cur[0]:
-                    proj[key] = (adj_val, sub)
-            projections.append((c, shared, proj))
-        for sub in independent_subsets(bag):
-            value = g.weight_of(sub)
-            choice = []
-            feasible = True
-            for c, shared, proj in projections:
-                hit = proj.get(sub & shared)
-                if hit is None:
-                    feasible = False
-                    break
-                value += hit[0]
-                choice.append((c, hit[1]))
-            if feasible:
-                table[sub] = (value, tuple(choice))
-                entries += 1
-        tables[node] = table
+                proj[key] = _better((value - own[key], witness), proj.get(key, (-1, 0)))
+            projections.append((shared, proj))
+        table = tables[node]
+        for sub, value in own.items():
+            witness = sub
+            for shared, proj in projections:
+                extra, more = proj[sub & shared]
+                value += extra
+                witness |= more
+            table[sub] = (value, witness)
+        entries += len(table)
 
-    root_table = tables[order[-1]]
-    best_sub, (best_val, _) = max(
-        root_table.items(), key=lambda kv: (kv[1][0], [-v for v in to_tuple(kv[0])])
-    )
-
-    witness = 0
-    stack2 = [(order[-1], best_sub)]
-    while stack2:
-        node, sub = stack2.pop()
-        witness |= sub
-        for c, csub in tables[node][sub][1]:
-            stack2.append((c, csub))
-
-    check_independent_witness(g, best_val, witness)
+    value, witness = functools.reduce(_better, tables[0].values())
+    weight = Fraction(value, scale)
+    check_independent_witness(g, weight, witness)
     stats = SolveStats(
         table_entries=entries, time_ms=(time.perf_counter() - t0) * 1000.0
     )
-    return SolveResult(best_val, to_tuple(witness), "treewidth", stats)
+    return SolveResult(weight, to_tuple(witness), "treewidth", stats)
 
 
 def solve_kprism_alg(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -339,12 +211,15 @@ def solve_kprism_alg(g: Graph, config: SolveConfig | None = None) -> SolveResult
     return solve_mwis(g, config)
 
 
-def _branch_max(current, candidate):
-    if current is None:
-        return candidate
-    if candidate[0] != current[0]:
-        return candidate if candidate[0] > current[0] else current
-    return current
+def _better(a: tuple, b: tuple) -> tuple:
+    """The better of two (value, witness mask) pairs: the higher value, then
+    the lexicographically smaller witness."""
+    return a if a[0] > b[0] or a[0] == b[0] and _lex_first(a[1], b[1]) else b
+
+
+def _lift(vmap: tuple[int, ...], witness: int) -> int:
+    """A witness of an induced subgraph as a mask of the parent graph."""
+    return mask_of(vmap[v] for v in iter_bits(witness))
 
 
 def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -354,47 +229,44 @@ def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     vertices, so the admissible traces are the empty set, singletons, and
     nonadjacent cross pairs; each branch deletes the prism plus the trace's
     neighborhood and recurses.  Prism-free residues go to the pipeline;
-    tiny residues go to the oracle.
+    tiny residues go to the oracle.  Every leaf returns its canonical
+    witness and the branches are compared as in ``solve_bt``, so the result
+    is canonical too.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
 
-    def rec(h: Graph) -> tuple[Fraction, tuple[int, ...]]:
-        if h.n == 0:
-            return Fraction(0), ()
+    def rec(h: Graph) -> tuple[Fraction, int]:
         if h.n < BRUTE_FLOOR:
             res = brute_force_mwis(h, limit=max(BRUTE_FLOOR, h.n))
-            return res.weight, res.vertices
+            return res.weight, res.mask
         k = math.isqrt(h.n)
         prism = find_k_prism(h, k)
         if prism is None:
             res = solve_kprism_alg(h, config)
             stats.merge(res.stats)
-            return res.weight, res.vertices
+            return res.weight, res.mask
         pv = prism.vertex_mask()
         members = to_tuple(pv)
-        traces: list[tuple[int, ...]] = [()]
-        traces.extend((v,) for v in members if h.weights[v] > 0)
+        traces = [0]
+        traces.extend(1 << v for v in members if h.weights[v] > 0)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 if not h.has_edge(a, b) and h.weights[a] > 0 and h.weights[b] > 0:
-                    traces.append((a, b))
-        best = None
+                    traces.append(1 << a | 1 << b)
+        best = (-1, 0)
         for trace in traces:
             stats.branches += 1
-            tmask = mask_of(trace)
-            removed = pv | h.neighborhood(tmask, closed=True)
+            removed = pv | h.neighborhood(trace, closed=True)
             rest, vmap = h.induced(h.full_mask & ~removed)
             val, wit = rec(rest)
-            val += h.weight_of(tmask)
-            mapped = tuple(sorted(trace + tuple(vmap[v] for v in wit)))
-            best = _branch_max(best, (val, mapped))
+            best = _better((val + h.weight_of(trace), trace | _lift(vmap, wit)), best)
         return best
 
     weight, witness = rec(g)
-    check_independent_witness(g, weight, mask_of(witness))
+    check_independent_witness(g, weight, witness)
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(weight, witness, "subexp1", stats)
+    return SolveResult(weight, to_tuple(witness), "subexp1", stats)
 
 
 def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -402,42 +274,44 @@ def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
     While a vertex of degree at least ceil(sqrt(n ln n)) exists, branch on
     taking it (delete its closed neighborhood) or not (delete it); leaves
-    of the branching are decomposed and solved by the subset DP.
+    of the branching are decomposed and solved by the subset DP.  A leaf
+    whose decomposition has a bag too large for the DP goes to the pipeline
+    under ``config``, which may trip a cap.  Leaves return canonical
+    witnesses and the branches are compared as in ``solve_bt``, so the
+    result is the canonical witness.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
 
-    def rec(h: Graph) -> tuple[Fraction, tuple[int, ...]]:
+    def rec(h: Graph) -> tuple[Fraction, int]:
         if h.n <= 2:
             res = brute_force_mwis(h, limit=2)
-            return res.weight, res.vertices
+            return res.weight, res.mask
         tau = math.ceil(math.sqrt(h.n * math.log(h.n)))
         v = max(range(h.n), key=lambda u: (h.degree(u), -u))
         if h.degree(v) >= tau:
             stats.branches += 1
-            rest_ex, vmap_ex = h.induced(h.full_mask & ~(1 << v))
-            val_ex, wit_ex = rec(rest_ex)
-            best = (val_ex, tuple(sorted(vmap_ex[u] for u in wit_ex)))
+            rest, vmap = h.induced(h.full_mask & ~(1 << v))
+            val, wit = rec(rest)
+            best = (val, _lift(vmap, wit))
             if h.weights[v] > 0:
-                rest_in, vmap_in = h.induced(h.full_mask & ~(h.adj[v] | (1 << v)))
-                val_in, wit_in = rec(rest_in)
-                val_in += h.weights[v]
-                cand = (val_in, tuple(sorted((v,) + tuple(vmap_in[u] for u in wit_in))))
-                best = _branch_max(best, cand)
+                rest, vmap = h.induced(h.full_mask & ~(h.adj[v] | (1 << v)))
+                val, wit = rec(rest)
+                best = _better((val + h.weights[v], 1 << v | _lift(vmap, wit)), best)
             return best
         try:
             td = build_tree_decomposition(h)
             res = solve_treewidth_dp(h, td)
             stats.table_entries += res.stats.table_entries
-            return res.weight, res.vertices
         except WidthLimitError:
-            res = brute_force_mwis(h)
-            return res.weight, res.vertices
+            res = solve_kprism_alg(h, config)
+            stats.merge(res.stats)
+        return res.weight, res.mask
 
     weight, witness = rec(g)
-    check_independent_witness(g, weight, mask_of(witness))
+    check_independent_witness(g, weight, witness)
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(weight, witness, "subexp2", stats)
+    return SolveResult(weight, to_tuple(witness), "subexp2", stats)
 
 
 def solve_mwc_complement(g: Graph, config: SolveConfig | None = None) -> SolveResult:

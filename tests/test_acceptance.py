@@ -262,15 +262,13 @@ def test_criterion_9_cross_solver_agreement(lhf_corpus_14, random_corpus_12):
     corpus = list(lhf_corpus_14) + list(random_corpus_12)[:40]
     disagreements = 0
     for g in corpus:
-        values = {
-            solve(g, strategy=s).weight for s in ("bt", "subexp1", "subexp2", "brute")
-        }
-        if len(values) != 1:
+        results = [solve(g, strategy=s) for s in ("bt", "subexp1", "subexp2", "brute")]
+        if len({(r.weight, r.vertices) for r in results}) != 1:
             disagreements += 1
     _verdict(
         9,
         disagreements == 0,
-        f"bt/subexp1/subexp2/brute agree on {len(corpus)} instances, "
+        f"bt/subexp1/subexp2/brute witnesses agree on {len(corpus)} instances, "
         f"{disagreements} disagreements",
     )
 

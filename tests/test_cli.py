@@ -74,6 +74,26 @@ def test_negative_cap_exits_2(c4_file, capsys, command, option):
     assert f"argument {option}: cap must be 0 or more, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "C4", "--max-k", "-1"],
+        ["analyze", "C4", "--max-k", "0"],
+        ["generate", "lhf-filter", "5", "1.5"],
+        ["generate", "chordal", "5", "-1"],
+        ["generate", "lhf-filter", "5", "0.3", "--max-tries", "-1"],
+    ],
+)
+def test_out_of_range_number_exits_2(c4_file, capsys, argv):
+    argv = [c4_file if a == "C4" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "must" in capsys.readouterr().err
+
+
 def test_solve_brute_above_oracle_limit_exits_3(tmp_path, capsys):
     f = tmp_path / "p21.gr"
     f.write_text(emit_graph(path_graph(21)))

@@ -268,11 +268,10 @@ def test_scale_equivariance():
 
 def test_chordal_dual_route(chordal_corpus_50):
     from holefree.recognition import clique_tree
-    from holefree.solvers import clique_tree_decomposition, solve_treewidth_dp
+    from holefree.solvers import solve_treewidth_dp
 
     for g in chordal_corpus_50[:20]:
-        td = clique_tree_decomposition(clique_tree(g))
-        assert solve_mwis(g).weight == solve_treewidth_dp(g, td).weight
+        assert solve_mwis(g).weight == solve_treewidth_dp(g, clique_tree(g)).weight
 
 
 def test_determinism_same_bytes():

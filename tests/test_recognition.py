@@ -14,6 +14,7 @@ from holefree.families import (
     prism_graph,
     random_chordal,
 )
+from holefree.graph import Graph
 from holefree.recognition import (
     clique_tree,
     find_k_prism,
@@ -217,6 +218,15 @@ def test_clique_tree_k4_single_bag():
     assert t.bags == ((1 << 4) - 1,) and t.edges == ()
 
 
+def test_clique_tree_joins_components_into_one_tree():
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])  # vertex 5 is isolated
+    t = clique_tree(g)
+    assert len(t.bags) == 4 and len(t.edges) == 3
+    t.validate(g)
+    empty = clique_tree(Graph(0))
+    assert (empty.bags, empty.edges) == ((0,), ())
+
+
 def test_clique_tree_rejects_nonchordal():
     with pytest.raises(PreconditionError):
         clique_tree(c4())
@@ -227,7 +237,8 @@ def test_clique_tree_properties_random():
     for _ in range(25):
         g = random_chordal(rng.randint(3, 12), rng.randint(4, 24), rng)
         t = clique_tree(g)
-        assert len(t.edges) == len(t.bags) - len(g.components())
+        assert len(t.edges) == len(t.bags) - 1
+        t.validate(g)
         for u, v in g.edges():
             need = (1 << u) | (1 << v)
             assert any(b & need == need for b in t.bags)

@@ -6,8 +6,13 @@ from fractions import Fraction
 import pytest
 
 from holefree.bits import mask_of
-from holefree.engine import brute_force_mwis, solve_mwis
-from holefree.errors import PreconditionError, WidthLimitError
+from holefree.engine import SolveConfig, brute_force_mwis, solve_mwis
+from holefree.errors import (
+    CapacityExceededError,
+    PreconditionError,
+    SolverInvariantError,
+    WidthLimitError,
+)
 from holefree.families import (
     complete_graph,
     cycle_graph,
@@ -76,8 +81,20 @@ def test_subexp1_branches_on_large_prism():
 
 
 def test_subexp1_oracle_sweep(lhf_corpus_16):
+    # every strategy returns the canonical witness, not just the weight
     for g in lhf_corpus_16[:25]:
-        assert solve_subexp1(g).weight == brute_force_mwis(g).weight
+        oracle = brute_force_mwis(g)
+        td = build_tree_decomposition(g)
+        for res in (solve_subexp1(g), solve_subexp2(g), solve_treewidth_dp(g, td)):
+            assert (res.weight, res.vertices) == (oracle.weight, oracle.vertices)
+
+
+def test_branching_witness_on_skew_13_prism():
+    # n = 26 is above the brute floor, so subexp1 branches on a 5-prism
+    g = random_weights(prism_graph(13), random.Random(1), "skew")
+    oracle = brute_force_mwis(g, limit=26)
+    for res in (solve_subexp1(g), solve_subexp2(g)):
+        assert (res.weight, res.vertices) == (oracle.weight, oracle.vertices)
 
 
 # -- balanced separators ------------------------------------------------------
@@ -164,6 +181,22 @@ def test_build_td_width_metric_on_lhf(lhf_corpus_14):
         assert td.width <= 9 * (g.max_degree() + 1)
 
 
+@pytest.mark.parametrize(
+    "bags, edges, message",
+    [
+        ((0b011, 0b110), (), "do not form a tree"),
+        ((0b011, 0b110, 0b010, 0b100), ((0, 1), (1, 2), (2, 0)), "disconnected"),
+        ((0b011,), (), "missing from every bag"),
+        ((0b011, 0b100), ((0, 1),), r"edge \(1, 2\) is inside no bag"),
+        ((0b011, 0b100, 0b110), ((0, 1), (1, 2)), "bags containing 1 are not connected"),
+    ],
+    ids=["edge-count", "cycle-and-unreached", "missing-vertex", "edge-in-no-bag", "split-holders"],
+)
+def test_validate_rejects_each_broken_axiom(bags, edges, message):
+    with pytest.raises(SolverInvariantError, match=message):
+        TreeDecomposition(bags, edges).validate(path_graph(3))
+
+
 def test_treewidth_dp_p4_weighted():
     g = path_graph(4).with_weights([1, 5, 5, 1])
     td = TreeDecomposition(
@@ -213,9 +246,13 @@ def test_subexp2_c6():
     assert solve_subexp2(cycle_graph(6)).weight == 3
 
 
-def test_subexp2_oracle_sweep(lhf_corpus_16):
-    for g in lhf_corpus_16[:25]:
-        assert solve_subexp2(g).weight == brute_force_mwis(g).weight
+def test_subexp2_width_fallback_runs_the_pipeline():
+    # a bag over the DP's limit goes to the pipeline under the caller's caps,
+    # which trips here, instead of to an oracle that cannot take the graph
+    rng = random.Random(60)
+    g = random_weights(er_graph(60, 0.08, rng), rng, "int")
+    with pytest.raises(CapacityExceededError):
+        solve_subexp2(g, SolveConfig(5000, 50000))
 
 
 # -- clique via complement ----------------------------------------------------
