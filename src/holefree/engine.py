@@ -86,6 +86,13 @@ def check_independent_witness(g: Graph, weight: Fraction, witness: int) -> None:
         )
 
 
+def scaled_weights(g: Graph) -> tuple[int, list[int]]:
+    """The LCM of the weights' denominators, and the weights times it as
+    ints, so that values add and compare exactly without Fractions."""
+    scale = math.lcm(*(x.denominator for x in g.weights))
+    return scale, [x.numerator * (scale // x.denominator) for x in g.weights]
+
+
 def _lex_first(a: int, b: int) -> bool:
     """Whether vertex set a sorts before b, for two sets neither inside the
     other (true of equal-weight witnesses, which hold no zero-weight vertex):
@@ -138,8 +145,7 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
     blocks_ = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
-    scale = math.lcm(*(w.denominator for w in g.weights))
-    w = [x.numerator * (scale // x.denominator) for x in g.weights]
+    scale, w = scaled_weights(g)
 
     if any(comp not in by_mask for p in pmcs for comp in p.components):
         raise SolverInvariantError("block family misses a component of g - PMC")
@@ -220,7 +226,8 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
 
 def brute_force_mwis(g: Graph, limit: int | None = None) -> SolveResult:
-    """Oracle: memoized include/exclude search on the minimum-index vertex.
+    """Oracle: memoized include/exclude search on the minimum-index vertex,
+    on int-scaled weights with bitmask witnesses.
 
     Returns the canonical witness: the lexicographically smallest maximum
     weight independent set among those avoiding zero-weight vertices.
@@ -229,28 +236,27 @@ def brute_force_mwis(g: Graph, limit: int | None = None) -> SolveResult:
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
     t0 = time.perf_counter()
-    memo: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+    scale, w = scaled_weights(g)
     adj = g.adj
-    weights = g.weights
+    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
 
-    def best(mask: int) -> tuple[Fraction, tuple[int, ...]]:
-        if mask == 0:
-            return Fraction(0), ()
+    def best(mask: int) -> tuple[int, int]:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        v = (mask & -mask).bit_length() - 1
-        res = best(mask & ~(1 << v))
-        if weights[v] > 0:
-            sub = best(mask & ~(adj[v] | (1 << v)))
-            inc = (weights[v] + sub[0], (v,) + sub[1])
+        low = mask & -mask
+        v = low.bit_length() - 1
+        res = best(mask ^ low)
+        if w[v] > 0:
+            value, witness = best(mask & ~(adj[v] | low))
             # on ties the include branch starts at the smallest vertex
-            if inc[0] >= res[0]:
-                res = inc
+            if value + w[v] >= res[0]:
+                res = (value + w[v], witness | low)
         memo[mask] = res
         return res
 
-    weight, witness = best(g.full_mask)
-    check_independent_witness(g, weight, mask_of(witness))
+    value, witness = best(g.full_mask)
+    weight = Fraction(value, scale)
+    check_independent_witness(g, weight, witness)
     stats = SolveStats(time_ms=(time.perf_counter() - t0) * 1000.0)
-    return SolveResult(weight, witness, "brute", stats)
+    return SolveResult(weight, to_tuple(witness), "brute", stats)

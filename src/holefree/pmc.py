@@ -16,6 +16,15 @@ G lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
 component, generated as by Kloks & Kratsch ("Listing all minimal separators
 of a graph", SIAM J. Comput. 1998).  Only S | (T & C), and S + a for a new
 S, need a flood.
+
+The sweep runs once per atom of the clique minimal separator
+decomposition (Tarjan, "Decomposition by clique separators", Discrete
+Math. 1985; Berry, Pogorelcnik & Simonet, "An introduction to clique
+minimal separator decomposition", Algorithms 2010).  The minimal
+triangulations of g are the unions of minimal triangulations of its atoms
+(Leimer), so the PMCs of g are those of its atoms; a clique atom is its
+own single PMC and needs no sweep.  The PMC cap bounds every prefix
+family of every sweep and the union over the atoms.
 """
 
 from __future__ import annotations
@@ -23,12 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bits import iter_bits, to_tuple
+from .bits import iter_bits, mask_of, to_tuple
 from .errors import (
     CapacityExceededError,
     NoDominationError,
     OracleLimitError,
     PreconditionError,
+    SolverInvariantError,
     WitnessNotFoundError,
 )
 from .graph import Graph
@@ -36,7 +46,7 @@ from .separators import (
     Separator,
     absorb_last_vertex,
     analyze_separator,
-    enumerate_minimal_separators,  # noqa: F401  perfbench/tracer.py wraps it under this name
+    enumerate_minimal_separators,
     extend_minimal_separators,
     oracle_limit,
 )
@@ -164,6 +174,36 @@ def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
     return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)[0]
 
 
+def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
+    """The atoms of g: the parts left by splitting it along its clique
+    minimal separators, the members of ``minseps`` that are cliques.
+
+    A part P that holds such an S, with S a minimal separator of g[P] (two
+    or more components of g[P] - S see all of S), is replaced by C | N(C)
+    for each component C of g[P] - S, N(C) taken inside P: the
+    decomposition step of Berry, Pogorelcnik & Simonet (Algorithms 2010).
+    A clique minimal separator of a part is one of g, so one pass over
+    ``minseps`` leaves parts without any, and splitting only at minimal
+    separators leaves no part inside another.  Each edge of g lies in
+    some atom, and g is one atom when it has no clique minimal separator.
+    """
+    parts = [g.full_mask]
+    for sep in minseps:
+        s = sep.set
+        if not g.is_clique(s):
+            continue
+        split = []
+        for part in parts:
+            if s & ~part == 0:
+                pairs = g.flood(part & ~s)
+                if sum(nb & s == s for _, nb in pairs) >= 2:
+                    split.extend(c | nb & part for c, nb in pairs)
+                    continue
+            split.append(part)
+        parts = split
+    return parts
+
+
 def enumerate_pmcs(
     g: Graph,
     minseps: list[Separator] | None = None,
@@ -174,9 +214,76 @@ def enumerate_pmcs(
 ) -> list[Pmc]:
     """The complete, canonically sorted PMC family of g.
 
-    Incremental mode sweeps prefix graphs G_1..G_n.  Step i adds vertex a
-    to G = G_{i-1}, giving G' = G_i, and keeps the candidates that pass the
-    PMC test on G' (Bouchitté & Todinca, TCS 2002, ONE_MORE_VERTEX):
+    Incremental mode first splits g into its :func:`atoms` along the
+    clique minimal separators in ``minseps`` (Tarjan, Discrete Math. 1985;
+    Berry, Pogorelcnik & Simonet, Algorithms 2010).  By Leimer's theorem
+    the minimal triangulations of g are the unions of minimal
+    triangulations of its atoms, so the PMCs of g are those of its atoms.
+    A clique atom is its own single PMC.  Every other atom is swept as its
+    own induced graph (:func:`_sweep`), from its minimal separators, and
+    its PMCs are mapped back to g's labels.  Each PMC is then certified
+    once on g, so it carries its components and neighborhoods in g.  When
+    g is a single atom, it is swept in place with ``minseps``.
+
+    ``cap`` bounds every prefix family of every sweep and the union, and
+    ``cap_seps`` bounds the minimal separators of every prefix graph and
+    of every swept atom; over either, CapacityExceededError.  The result
+    is checked against ``minseps``: the neighborhood of each component
+    left by a PMC must be in it.
+
+    Bruteforce mode tests every nonempty subset (oracle, small n only).
+    """
+    if mode == "bruteforce":
+        limit = oracle_limit(14) if limit is None else limit
+        if g.n > limit:
+            raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
+        out = []
+        for cand in range(1, 1 << g.n):
+            pmc = is_pmc(g, cand)
+            if pmc is not None:
+                out.append(pmc)
+        out.sort(key=lambda p: to_tuple(p.set))
+        return out
+    if mode != "incremental":
+        raise ValueError(f"unknown mode {mode!r}")
+    if minseps is None:
+        raise PreconditionError("incremental enumeration needs the minimal separators")
+
+    parts = atoms(g, minseps)
+    if len(parts) == 1:
+        family = _sweep(g, minseps, cap, cap_seps)
+    else:
+        sets: list[int] = []
+        for atom in parts:
+            if g.is_clique(atom):
+                sets.append(atom)
+                continue
+            h, vmap = g.induced(atom)
+            for pmc in _sweep(h, enumerate_minimal_separators(h, cap=cap_seps), cap, cap_seps):
+                sets.append(mask_of(vmap[v] for v in iter_bits(pmc.set)))
+        if cap and len(sets) > cap:
+            raise CapacityExceededError("potential maximal cliques", cap, len(sets))
+        family = []
+        for cand in sets:
+            pmc = is_pmc(g, cand)
+            if pmc is None:
+                raise SolverInvariantError(f"PMC {to_tuple(cand)} of an atom is not one of g")
+            family.append(pmc)
+
+    known = {s.set for s in minseps}
+    for pmc in family:
+        if any(nb not in known for nb in pmc.neighborhoods):
+            raise PreconditionError("provided minimal separator family is incomplete")
+    return sorted(family, key=lambda p: to_tuple(p.set))
+
+
+def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[Pmc]:
+    """The PMCs of g, certified on g, by a sweep over its prefix graphs
+    G_1..G_n that ends with the minimal separators ``minseps`` of g.
+
+    Step i adds vertex a to G = G_{i-1}, giving G' = G_i, and keeps the
+    candidates that pass the PMC test on G' (Bouchitté & Todinca, TCS
+    2002, ONE_MORE_VERTEX):
 
     1. each PMC Ω of G if it is a PMC of G', otherwise Ω | a;
     2. S | a for each minimal separator S of G';
@@ -206,28 +313,10 @@ def enumerate_pmcs(
     S | a if two of its full components meet N(a), and the separators that
     avoid a with a in a full component are the minimal a,b-separators of
     Kloks & Kratsch (SIAM J. Comput. 1998), closed from N[a].  Δ(G') is
-    the T list of the next step; the caller-provided complete family is
-    used for the final step and checked against the result.  G_n is g, so
-    the certificates of the final step are returned as they are.
-
-    Bruteforce mode tests every nonempty subset (oracle, small n only).
+    the T list of the next step, and ``minseps`` that of the final step.
+    G_n is g, so the certificates of the final step are returned as they
+    are.  A prefix family over ``cap`` raises CapacityExceededError.
     """
-    if mode == "bruteforce":
-        limit = oracle_limit(14) if limit is None else limit
-        if g.n > limit:
-            raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
-        out = []
-        for cand in range(1, 1 << g.n):
-            pmc = is_pmc(g, cand)
-            if pmc is not None:
-                out.append(pmc)
-        out.sort(key=lambda p: to_tuple(p.set))
-        return out
-    if mode != "incremental":
-        raise ValueError(f"unknown mode {mode!r}")
-    if minseps is None:
-        raise PreconditionError("incremental enumeration needs the minimal separators")
-
     # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
     family: dict[int, Pmc] = {1: Pmc(1, (), ())} if g.n else {}
     seps_i: list[Separator] = []
@@ -270,13 +359,7 @@ def enumerate_pmcs(
         prev_seps = seps_now
         if cap and len(family) > cap:
             raise CapacityExceededError("potential maximal cliques", cap, len(family))
-
-    # the last step certified the family on g.prefix(g.n), which is g, and
-    # left the caller's minseps in prev_seps
-    for pmc in family.values():
-        if any(nb not in prev_seps for nb in pmc.neighborhoods):
-            raise PreconditionError("provided minimal separator family is incomplete")
-    return sorted(family.values(), key=lambda p: to_tuple(p.set))
+    return list(family.values())
 
 
 def block_family(g: Graph, minseps: list[Separator]) -> list[int]:

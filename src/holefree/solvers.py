@@ -28,6 +28,7 @@ from .engine import (
     _lex_first,
     brute_force_mwis,
     check_independent_witness,
+    scaled_weights,
     solve_mwis,
 )
 from .graph import Graph
@@ -157,8 +158,7 @@ def solve_treewidth_dp(
         if b.bit_count() > bag_limit:
             raise WidthLimitError(f"bag of size {b.bit_count()} above limit {bag_limit}")
 
-    scale = math.lcm(*(x.denominator for x in g.weights))
-    w = [x.numerator * (scale // x.denominator) for x in g.weights]
+    scale, w = scaled_weights(g)
     usable = mask_of(v for v in range(g.n) if w[v] > 0)
     walk = td.walk()
     children: list[list[int]] = [[] for _ in td.bags]

@@ -209,6 +209,15 @@ def reference_pmcs(g: Graph) -> list[int]:
     return sorted(family, key=to_tuple)
 
 
+def whole_graph_pmcs(g: Graph):
+    """The certified PMC family of g by the prefix sweep over all of g,
+    without the split into atoms, canonically sorted."""
+    from holefree.pmc import _sweep
+    from holefree.separators import enumerate_minimal_separators
+
+    return sorted(_sweep(g, enumerate_minimal_separators(g), 0, 0), key=lambda p: to_tuple(p.set))
+
+
 def reference_caps(g: Graph, pmcs, blocks) -> list[list[int]]:
     """For each block (S, D): ascending indices of the PMCs Ω with
     S <= Ω <= S | D, by testing every PMC against every block."""

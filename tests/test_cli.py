@@ -8,7 +8,7 @@ from holefree import cli
 from holefree.cli import main
 from holefree.errors import PreconditionError
 from holefree.families import cycle_graph, path_graph, prism_graph
-from holefree.graph import emit_graph, parse_graph
+from holefree.graph import Graph, emit_graph, parse_graph
 
 
 @pytest.fixture()
@@ -56,6 +56,19 @@ def test_solve_missing_file_exits_2(capsys):
 
 def test_solve_capacity_exits_3(prism3_file, capsys):
     assert main(["solve", prism3_file, "--strategy", "bt", "--cap-seps", "2"]) == 3
+
+
+def test_pmc_cap_trips_on_the_union_of_atoms(tmp_path, capsys):
+    # three 4-cycles chained at cut vertices: three atoms with 4 PMCs each,
+    # and no prefix family of an atom's sweep holds more than 4
+    edges = [(i, i + 1) for i in range(9)] + [(0, 3), (3, 6), (6, 9)]
+    f = tmp_path / "c4-chain.gr"
+    f.write_text(emit_graph(Graph(10, edges)))
+    for command in (["solve", str(f), "--strategy", "bt"], ["analyze", str(f)]):
+        assert main([*command, "--cap-pmcs", "11"]) == 3
+        err = capsys.readouterr().err
+        assert "potential maximal cliques: cap 11 exceeded (12 found so far)" in err
+        assert main([*command, "--cap-pmcs", "12"]) == 0
 
 
 @pytest.mark.parametrize(

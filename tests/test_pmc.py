@@ -1,5 +1,6 @@
 """Potential maximal cliques: testing, enumeration, blocks, domination."""
 
+import functools
 import random
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from holefree.families import (
 )
 from holefree.graph import Graph
 from holefree.pmc import (
+    atoms,
     block_family,
     certify_pmc,
     Pmc,
@@ -29,14 +31,21 @@ from holefree.pmc import (
     lift_pmc,
     lift_separator,
 )
-from holefree.recognition import clique_tree, find_long_hole
+from holefree.recognition import clique_tree, find_long_hole, is_chordal
 from holefree.separators import (
     analyze_separator,
     enumerate_minimal_separators,
     extend_minimal_separators,
 )
 
-from oracles import c4, naive_neighborhood, p4, reference_certify_pmc, reference_pmcs
+from oracles import (
+    c4,
+    naive_neighborhood,
+    p4,
+    reference_certify_pmc,
+    reference_pmcs,
+    whole_graph_pmcs,
+)
 
 
 def test_is_pmc_c4_triple():
@@ -161,7 +170,90 @@ EDGE_CASE_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASE_GRAPHS))
 def test_incremental_edge_cases_match_bruteforce(name):
     g = EDGE_CASE_GRAPHS[name]
-    assert _incremental_sets(g) == [p.set for p in enumerate_pmcs(g, mode="bruteforce")]
+    got = enumerate_pmcs(g, enumerate_minimal_separators(g))
+    assert got == enumerate_pmcs(g, mode="bruteforce")
+
+
+# -- the clique minimal separator decomposition --------------------------------
+
+
+def _multi_atom_corpus():
+    """200 ER graphs with n <= 13 and two or more atoms."""
+    rng = random.Random(97)
+    out = []
+    while len(out) < 200:
+        g = er_graph(rng.randint(2, 13), rng.uniform(0.1, 0.6), rng)
+        if len(atoms(g, enumerate_minimal_separators(g))) > 1:
+            out.append(g)
+    return out
+
+
+def test_atom_family_matches_bruteforce_on_multi_atom_graphs():
+    disconnected = swept = 0
+    for g in _multi_atom_corpus():
+        seps = enumerate_minimal_separators(g)
+        assert enumerate_pmcs(g, seps) == enumerate_pmcs(g, mode="bruteforce"), g.adj
+        disconnected += not g.is_connected()  # the empty set is a clique separator
+        swept += any(not g.is_clique(a) for a in atoms(g, seps))
+    assert disconnected > 50 and swept > 50
+
+
+@functools.cache
+def _lhf_and_chordal():
+    """Chordal graphs with n = 20..100, and long-hole-free graphs grown
+    from those with n <= 60 (growing is slow on larger ones)."""
+    rng = random.Random(300)
+    out = []
+    for n in (20, 40, 60, 80, 100):
+        chordal = random_chordal(n, rng.randint(n, 3 * n), rng)
+        out.append(chordal)
+        if n <= 60:
+            out.append(grow_lhf(chordal, n // 2, rng, forbid_prism=3))
+    return tuple(out)
+
+
+def test_atom_family_matches_whole_graph_sweep():
+    # equal as lists of Pmc: the same sets, components and neighborhoods
+    swept = 0
+    for g in _lhf_and_chordal():
+        seps = enumerate_minimal_separators(g)
+        assert enumerate_pmcs(g, seps) == whole_graph_pmcs(g), g.adj
+        swept += sum(not g.is_clique(a) for a in atoms(g, seps))
+    assert swept >= 10
+
+
+def _assert_atom_laws(g):
+    seps = enumerate_minimal_separators(g)
+    parts = atoms(g, seps)
+    assert len(set(parts)) == len(parts)
+    for a in parts:
+        assert not any(a != b and a & ~b == 0 for b in parts), g.adj
+        h = g.induced(a)[0]
+        assert not any(h.is_clique(s.set) for s in enumerate_minimal_separators(h)), g.adj
+    for u, v in g.edges():
+        need = 1 << u | 1 << v
+        assert any(a & need == need for a in parts), (g.adj, u, v)
+    assert all(any(a >> v & 1 for a in parts) for v in range(g.n))
+    return parts
+
+
+def test_atom_laws():
+    graphs = [*_multi_atom_corpus(), *_lhf_and_chordal(), *EDGE_CASE_GRAPHS.values()]
+    for g in graphs:
+        _assert_atom_laws(g)
+    for k in (3, 4, 5):
+        assert _assert_atom_laws(prism_graph(k)) == [prism_graph(k).full_mask]
+
+
+def test_chordal_atoms_are_networkx_maximal_cliques(chordal_corpus_50):
+    nx = pytest.importorskip("networkx")
+    graphs = [*chordal_corpus_50, *(g for g in _lhf_and_chordal() if is_chordal(g).chordal)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        cliques = sorted(mask_of(c) for c in nx.chordal_graph_cliques(h))
+        assert sorted(_assert_atom_laws(g)) == cliques, g.adj
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

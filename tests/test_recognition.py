@@ -1,17 +1,19 @@
 """Recognition toolkit: long holes, prisms, chordality, triangulations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from holefree.bits import mask_of
-from holefree.errors import PreconditionError
+from holefree.errors import CapacityExceededError, PreconditionError
 from holefree.families import (
     complete_graph,
     cycle_graph,
     er_graph,
     path_graph,
     prism_graph,
+    grow_lhf,
     random_chordal,
 )
 from holefree.graph import Graph
@@ -24,6 +26,8 @@ from holefree.recognition import (
     largest_prism,
     minimal_triangulation,
 )
+from holefree.pmc import enumerate_pmcs
+from holefree.separators import enumerate_minimal_separators
 
 from oracles import c4, has_induced_cycle, minimal_fillins, prism_exists_bruteforce
 
@@ -197,6 +201,48 @@ def test_chordality_and_triangulation_match_networkx():
         chordal += res.chordal
         assert nx.is_chordal(_networkx_graph(nx, g, minimal_triangulation(g)))
     assert 20 < chordal < 180
+
+
+def _assert_triangulations_against_networkx(nx, g, cap_seps=0):
+    """minimal_triangulation's fill is chordal by networkx's test, and
+    inclusion-minimal: removing any one fill edge uv breaks chordality,
+    which for a chordal H holds iff two common neighbors of u and v are
+    nonadjacent in H (Rose, Tarjan & Lueker, SIAM J. Comput. 1976).  The
+    maximal cliques of both minimal triangulations, networkx's
+    ``complete_to_chordal_graph`` and ours, are PMCs of g, so each must be
+    in the enumerated family.  Returns False, checking no PMCs, when g has
+    more than ``cap_seps`` minimal separators."""
+    fill = minimal_triangulation(g)
+    h = _networkx_graph(nx, g, fill)
+    assert nx.is_chordal(h)
+    for u, v in fill:
+        common = set(h[u]) & set(h[v])
+        assert any(not h.has_edge(x, y) for x, y in combinations(common, 2)), (g.adj, u, v)
+    try:
+        seps = enumerate_minimal_separators(g, cap=cap_seps)
+    except CapacityExceededError:
+        return False
+    family = {p.set for p in enumerate_pmcs(g, seps)}
+    completion, _ = nx.complete_to_chordal_graph(_networkx_graph(nx, g))
+    cliques = {mask_of(c) for c in nx.chordal_graph_cliques(completion)}
+    assert cliques <= family, g.adj
+    assert set(clique_tree(g, fill).bags) <= family, g.adj
+    return True
+
+
+def test_triangulations_and_pmcs_against_networkx_completion():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    checked = 0
+    for i in range(200):
+        g = er_graph(rng.randint(1, 30), 0.02 + 0.9 * (i % 10) / 9, rng)
+        # dense-enough ER graphs have thousands of separators; past 200 only
+        # the fill is checked, to keep the run short
+        checked += _assert_triangulations_against_networkx(nx, g, cap_seps=200)
+    assert checked > 150
+    for n in (50, 75, 100):
+        base = random_chordal(n, 2 * n, rng)
+        assert _assert_triangulations_against_networkx(nx, grow_lhf(base, n // 5, rng))
 
 
 # -- clique trees -------------------------------------------------------------
