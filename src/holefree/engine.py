@@ -157,28 +157,48 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
     for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
         if not cap_ids:
             raise SolverInvariantError("a block has no cap; PMC family incomplete")
-        cap_kids = [
-            (pmcs[i].set, [tables[by_mask[c]] for c in pmcs[i].components if c & b.d])
-            for i in cap_ids
-        ]
-        table: dict[int, tuple[int, int]] = {}
-        for u in [_NONE, *iter_bits(b.s)]:
-            best = (-1, 0)
-            for cap, kids in cap_kids:
-                if u == _NONE:
-                    own = [(_NONE, 0, 0)] + [
-                        (t, w[t], 1 << t) for t in iter_bits(cap & b.d) if w[t] > 0
-                    ]
-                else:
-                    own = [(u, 0, 0)]
-                for t, value, witness in own:
-                    for tab in kids:
-                        sub = tab[t] if t in tab else tab[_NONE]
+        d, trace = b.d, list(iter_bits(b.s))
+        # the best (value, witness) with no trace, and with each trace vertex
+        none_value, none_witness = -1, 0
+        values, witnesses = [-1] * len(trace), [0] * len(trace)
+        for i in cap_ids:
+            p = pmcs[i]
+            kids = []
+            base, base_witness = 0, 0
+            for c in p.components:
+                if c & d:
+                    tab = tables[by_mask[c]]
+                    none = tab[_NONE]
+                    kids.append((tab.get, none))
+                    base += none[0]
+                    base_witness |= none[1]
+            # no trace: the cap gives no vertex, or one vertex t of Ω & D
+            if base > none_value or base == none_value and _lex_first(base_witness, none_witness):
+                none_value, none_witness = base, base_witness
+            own = p.set & d
+            while own:
+                low = own & -own
+                own ^= low
+                t = low.bit_length() - 1
+                if w[t] > 0:
+                    value, witness = w[t], low
+                    for get, none in kids:
+                        sub = get(t, none)
                         value += sub[0]
                         witness |= sub[1]
-                    if value > best[0] or value == best[0] and _lex_first(witness, best[1]):
-                        best = (value, witness)
-            table[u] = best
+                    if value > none_value or value == none_value and _lex_first(witness, none_witness):
+                        none_value, none_witness = value, witness
+            # trace u of S: the cap gives no vertex, and each child follows u
+            for k, u in enumerate(trace):
+                value, witness = 0, 0
+                for get, none in kids:
+                    sub = get(u, none)
+                    value += sub[0]
+                    witness |= sub[1]
+                if value > values[k] or value == values[k] and _lex_first(witness, witnesses[k]):
+                    values[k], witnesses[k] = value, witness
+        table = {_NONE: (none_value, none_witness)}
+        table.update(zip(trace, zip(values, witnesses)))
         tables.append(table)
 
     value, mask = tables[top.id][_NONE]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import GenerationError
+from .errors import GenerationError, PreconditionError
 from .graph import Graph
-from .recognition import find_k_prism, find_long_hole
+from .recognition import find_k_prism, find_long_hole, long_hole_through
 
 
 def path_graph(t: int) -> Graph:
@@ -93,8 +93,15 @@ def grow_lhf(
     forbid_prism: int | None = None,
     max_tries: int = 400,
 ) -> Graph:
-    """Add random edges while staying long-hole-free (and optionally
-    k-prism-free); every accepted edge is re-certified by the recognizers."""
+    """Add random edges to a long-hole-free g while staying long-hole-free
+    (and optionally k-prism-free); every accepted edge is re-certified by
+    the recognizers.
+
+    A long hole of g + uv that g lacks passes through uv, so only the
+    holes through uv are searched (:func:`long_hole_through`).
+    """
+    if find_long_hole(g) is not None:
+        raise PreconditionError("grow_lhf needs a long-hole-free graph")
     nonedges = [
         (u, v)
         for u in range(g.n)
@@ -109,7 +116,7 @@ def grow_lhf(
             break
         tries += 1
         cand = g.with_edges([e])
-        if find_long_hole(cand) is not None:
+        if long_hole_through(cand, *e) is not None:
             continue
         if forbid_prism is not None and find_k_prism(cand, forbid_prism) is not None:
             continue

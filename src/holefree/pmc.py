@@ -15,7 +15,8 @@ G' - (S + a) in the same way, and the minimal separators of G' are those of
 G lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
 component, generated as by Kloks & Kratsch ("Listing all minimal separators
 of a graph", SIAM J. Comput. 1998).  Only S | (T & C), and S + a for a new
-S, need a flood.
+S, need a flood, and S | (T & C) only once a test on adjacency rows has
+not ruled it out.
 
 The sweep runs once per atom of the clique minimal separator
 decomposition (Tarjan, "Decomposition by clique separators", Discrete
@@ -174,6 +175,36 @@ def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
     return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)[0]
 
 
+def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
+    """Whether Ω = ``cand`` passes a necessary PMC condition that reads
+    adjacency rows only.  Ω = S | X for a vertex set S and a component C of
+    g - S, with ``x`` = X = Ω & C not empty and ``rest`` = R = C - X.
+
+    The components of g - S other than C avoid Ω, so they are components
+    of g - Ω, and their neighborhoods lie inside S: none holds a vertex of
+    X.  The other components of g - Ω are those of g[R], as N(C) lies
+    inside S.  So a nonedge of Ω with an end in X can only be covered by a
+    component of g[R], and then both of its ends have a neighbor in R.
+    Hence Ω is not a PMC when a vertex y of Ω outside N(R) is an end of
+    such a nonedge: y misses a vertex of X, or y is in X and misses a
+    vertex of Ω.  Only the rows of R, ORed into N(R), and those of
+    Ω - N(R) are read.
+    """
+    reach = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        reach |= adj[low.bit_length() - 1]
+    alone = cand & ~reach
+    while alone:
+        low = alone & -alone
+        alone ^= low
+        # the nonedges at y with an end in X: all of them for y in X
+        if (cand if low & x else x) & ~adj[low.bit_length() - 1] & ~low:
+            return False
+    return True
+
+
 def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
     """The atoms of g: the parts left by splitting it along its clique
     minimal separators, the members of ``minseps`` that are cliques.
@@ -305,7 +336,10 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     disjoint from Ω.  Ω - S is not empty, as S is not a PMC, and lies in
     one full component of S, so that component is not C_a.  The candidates
     of each other full component C come from one pass over Δ(G), which
-    keeps each distinct S | (T & C) once.
+    keeps each distinct S | (T & C) once.  Before its flood each one must
+    pass :func:`may_be_pmc`: a vertex of it with no neighbor in
+    C - (T & C) may not end a nonedge that has an end in T & C.  On prisms
+    this leaves no candidate that fails the flood.
 
     Δ(G') is carried over from Δ(G)
     (:func:`~holefree.separators.extend_minimal_separators`, under
@@ -335,6 +369,7 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
             if pmc is not None:
                 kept[pmc.set] = pmc
         candidates: set[int] = set()
+        adj = gi.adj
         for s in seps_i:
             if s.set & a:
                 continue  # S | a is S, and rule 3 needs a not in S
@@ -345,7 +380,13 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
                     comp = s.components[idx]
                     if comp & a:
                         continue  # C_a, see the docstring
-                    candidates |= {s.set | (t & comp) for t in prev_seps}
+                    for x in {t & comp for t in prev_seps}:
+                        cand = s.set | x
+                        if x and cand not in candidates and cand not in tested:
+                            if may_be_pmc(adj, cand, x, comp & ~x):
+                                candidates.add(cand)
+                            else:
+                                tested.add(cand)
             elif s.set | a not in tested:
                 # no other rule yields S | a, so it needs no entry in tested
                 pmc = lift_separator(gi, old)

@@ -174,23 +174,36 @@ def find_long_hole(g: Graph) -> tuple[int, ...] | None:
     """
     for x2 in range(g.n):
         for x3 in iter_bits(g.adj[x2]):
-            starts = g.adj[x2] & ~g.adj[x3] & ~(1 << x3)
-            ends = g.adj[x3] & ~g.adj[x2] & ~(1 << x2)
-            if not starts or not ends:
+            cycle = long_hole_through(g, x2, x3)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def long_hole_through(g: Graph, x2: int, x3: int) -> tuple[int, ...] | None:
+    """An induced cycle of length at least five through the edge x2x3, as
+    :func:`find_long_hole` finds it from that edge, or None if it finds none.
+
+    Every long hole through x2x3 has x2x3 as the middle edge of an induced
+    path x1-x2-x3-x4, so None means that g has no long hole through x2x3.
+    """
+    starts = g.adj[x2] & ~g.adj[x3] & ~(1 << x3)
+    ends = g.adj[x3] & ~g.adj[x2] & ~(1 << x2)
+    if not starts or not ends:
+        return None
+    blocked = g.adj[x2] | g.adj[x3] | (1 << x2) | (1 << x3)
+    for x1 in iter_bits(starts):
+        allowed_base = g.full_mask & ~blocked | (1 << x1)
+        for x4 in iter_bits(ends):
+            if g.has_edge(x1, x4):
                 continue
-            blocked = (g.adj[x2] | g.adj[x3] | (1 << x2) | (1 << x3))
-            for x1 in iter_bits(starts):
-                allowed_base = g.full_mask & ~blocked | (1 << x1)
-                for x4 in iter_bits(ends):
-                    if g.has_edge(x1, x4):
-                        continue
-                    path = _shortest_avoiding_path(g, x1, x4, allowed_base | (1 << x4))
-                    if path is None:
-                        continue
-                    cycle = tuple([x3, x2] + path)
-                    if not is_induced_cycle(g, cycle) or len(cycle) < 5:
-                        raise SolverInvariantError(f"long-hole candidate failed check: {cycle}")
-                    return cycle
+            path = _shortest_avoiding_path(g, x1, x4, allowed_base | (1 << x4))
+            if path is None:
+                continue
+            cycle = tuple([x3, x2] + path)
+            if not is_induced_cycle(g, cycle) or len(cycle) < 5:
+                raise SolverInvariantError(f"long-hole candidate failed check: {cycle}")
+            return cycle
     return None
 
 

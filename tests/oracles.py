@@ -285,3 +285,44 @@ def reference_certify_pmc(g: Graph, cand: int):
             else:
                 return None, f"nonedge ({x}, {y}) not covered by any component"
     return (tuple(comps), tuple(covers)), None
+
+
+def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...]]:
+    """The block DP of ``engine.solve_bt`` with its earlier loop: for each
+    trace u and each cap, a list of (trace, value, witness) choices, each
+    summed over the cap's children.  Returns the weight and the witness."""
+    from holefree.engine import _NONE, Block, _lex_first, index_caps, scaled_weights
+
+    ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
+    blocks_ = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+    by_mask = {b.d: b.id for b in blocks_}
+    caps = index_caps(g, pmcs, blocks_)
+    scale, w = scaled_weights(g)
+    tables: list[dict[int, tuple[int, int]]] = []
+    top = Block(g.full_mask, 0, len(blocks_))
+    for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
+        cap_kids = [
+            (pmcs[i].set, [tables[by_mask[c]] for c in pmcs[i].components if c & b.d])
+            for i in cap_ids
+        ]
+        table: dict[int, tuple[int, int]] = {}
+        for u in [_NONE, *iter_bits(b.s)]:
+            best = (-1, 0)
+            for cap, kids in cap_kids:
+                if u == _NONE:
+                    own = [(_NONE, 0, 0)] + [
+                        (t, w[t], 1 << t) for t in iter_bits(cap & b.d) if w[t] > 0
+                    ]
+                else:
+                    own = [(u, 0, 0)]
+                for t, value, witness in own:
+                    for tab in kids:
+                        sub = tab[t] if t in tab else tab[_NONE]
+                        value += sub[0]
+                        witness |= sub[1]
+                    if value > best[0] or value == best[0] and _lex_first(witness, best[1]):
+                        best = (value, witness)
+            table[u] = best
+        tables.append(table)
+    value, mask = tables[top.id][_NONE]
+    return Fraction(value, scale), to_tuple(mask)

@@ -18,6 +18,7 @@ from holefree.engine import (
 )
 from holefree.errors import CapacityExceededError, OracleLimitError, PreconditionError
 from holefree.families import (
+    WEIGHT_STYLES,
     complete_graph,
     cycle_graph,
     er_graph,
@@ -30,7 +31,14 @@ from holefree.graph import Graph
 from holefree.pmc import block_family, enumerate_pmcs
 from holefree.separators import enumerate_minimal_separators
 
-from oracles import c4, exhaustive_mwis, frank_chordal_mwis, p4, reference_caps
+from oracles import (
+    c4,
+    exhaustive_mwis,
+    frank_chordal_mwis,
+    p4,
+    reference_caps,
+    reference_solve_bt,
+)
 
 
 def _pipeline(g):
@@ -115,6 +123,30 @@ def test_solve_bt_p4_weighted():
     pmcs, blocks = _pipeline(g)
     res = solve_bt(g, pmcs, blocks)
     assert res.weight == 6 and res.vertices in ((0, 2), (1, 3))
+
+
+def _assert_dp_matches_reference(g):
+    pmcs, blocks = _pipeline(g)
+    res = solve_bt(g, pmcs, blocks)
+    assert (res.weight, res.vertices) == reference_solve_bt(g, pmcs, blocks)
+
+
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+def test_solve_bt_matches_reference_loop_on_random_graphs(style):
+    rng = random.Random(f"dp-{style}")
+    checked = 0
+    while checked < 60:
+        g = er_graph(rng.randint(2, 14), rng.uniform(0.15, 0.8), rng)
+        if g.is_connected():
+            _assert_dp_matches_reference(random_weights(g, rng, style))
+            checked += 1
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_solve_bt_matches_reference_loop_on_prisms(k):
+    rng = random.Random(k)
+    for style in WEIGHT_STYLES:
+        _assert_dp_matches_reference(random_weights(prism_graph(k), rng, style))
 
 
 EXACT_WEIGHTS = {

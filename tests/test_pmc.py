@@ -30,6 +30,7 @@ from holefree.pmc import (
     is_pmc,
     lift_pmc,
     lift_separator,
+    may_be_pmc,
 )
 from holefree.recognition import clique_tree, find_long_hole, is_chordal
 from holefree.separators import (
@@ -372,6 +373,43 @@ def test_sweep_never_tests_a_minimal_separator(monkeypatch):
         if gi.adj not in seps_of:
             seps_of[gi.adj] = {s.set for s in enumerate_minimal_separators(gi)}
         assert cand not in seps_of[gi.adj], (gi.adj, to_tuple(cand))
+
+
+def test_rule_three_pretest_keeps_every_pmc(random_corpus_12):
+    """Ω = S | X with X = Ω - S inside a full component C of a minimal
+    separator S: the adjacency pre-test of rule 3 must pass on every PMC."""
+    checked = 0
+    for g in random_corpus_12:
+        seps = enumerate_minimal_separators(g)
+        for pmc in enumerate_pmcs(g, mode="bruteforce"):
+            for sep in seps:
+                x = pmc.set & ~sep.set
+                if sep.set & ~pmc.set or not x:
+                    continue
+                for idx in sep.full:
+                    comp = sep.components[idx]
+                    if x & ~comp == 0:
+                        assert may_be_pmc(g.adj, pmc.set, x, comp & ~x), (g.adj, to_tuple(pmc.set))
+                        checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_sweep_floods_no_failing_candidate_on_prisms(monkeypatch, k):
+    """On prisms the rule-3 pre-test rejects every candidate that is not a
+    PMC, so every call of the PMC test accepts."""
+    verdicts = []
+    real = holefree.pmc.is_pmc
+
+    def spy(g, cand):
+        pmc = real(g, cand)
+        verdicts.append(pmc is not None)
+        return pmc
+
+    monkeypatch.setattr(holefree.pmc, "is_pmc", spy)
+    g = prism_graph(k)
+    enumerate_pmcs(g, enumerate_minimal_separators(g))
+    assert len(verdicts) > 10 and all(verdicts)
 
 
 def _lhf_graphs(n):

@@ -24,6 +24,7 @@ from holefree.recognition import (
     is_chordal,
     is_induced_cycle,
     largest_prism,
+    long_hole_through,
     minimal_triangulation,
 )
 from holefree.pmc import enumerate_pmcs
@@ -57,6 +58,31 @@ def test_long_hole_matches_exhaustive_oracle():
         assert (found is not None) == expect
         if found is not None:
             assert len(found) >= 5 and is_induced_cycle(g, found)
+
+
+@pytest.mark.parametrize("n", [12, 24, 36])
+def test_long_hole_through_new_edge_matches_full_search(n):
+    """g is long-hole-free, so g + e has a long hole iff one passes
+    through e, and the one-edge search finds it."""
+    rng = random.Random(n)
+    g = grow_lhf(random_chordal(n, 2 * n, rng), n, rng, forbid_prism=3)
+    assert find_long_hole(g) is None
+    found = 0
+    for u, v in combinations(range(n), 2):
+        if g.has_edge(u, v):
+            continue
+        h = g.with_edges([(u, v)])
+        hole = long_hole_through(h, u, v)
+        assert (hole is None) == (find_long_hole(h) is None), (u, v)
+        if hole is not None:
+            assert {u, v} <= set(hole) and is_induced_cycle(h, hole)
+            found += 1
+    assert found > 0
+
+
+def test_grow_lhf_rejects_a_graph_with_a_long_hole():
+    with pytest.raises(PreconditionError):
+        grow_lhf(cycle_graph(5), 1, random.Random(0))
 
 
 def test_long_hole_deterministic():
