@@ -16,13 +16,7 @@ from .recognition import (
     largest_prism,
     minimal_triangulation,
 )
-from .separators import (
-    Separator,
-    analyze_separator,
-    brute_force_minimal_separators,
-    component_cover_witness,
-    enumerate_minimal_separators,
-)
+from .separators import Separator, analyze_separator, enumerate_minimal_separators
 from .pmc import (
     DominationResult,
     Pmc,
@@ -73,8 +67,6 @@ __all__ = [
     "Separator",
     "analyze_separator",
     "enumerate_minimal_separators",
-    "brute_force_minimal_separators",
-    "component_cover_witness",
     "Pmc",
     "DominationResult",
     "certify_pmc",

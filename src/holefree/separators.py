@@ -1,13 +1,14 @@
 """Minimal-separator machinery.
 
 Full-component analysis, the complete close-neighborhood enumeration and
-its one-more-vertex update, the brute-force oracle, and the bounded witness
-that covers a separator from inside one full component.
+its one-more-vertex update.
 
 Both enumerations generate every candidate as N(C) for a component C that
 a flood has just returned.  Such a C is connected with N(C) the candidate
 itself, so it is a component of g minus the candidate, and a full one;
-validating the candidate floods only the rest of the graph.
+its record floods only the rest of the graph.  The complete enumeration
+is a closure on bare sets that maps each N(C) to its C; it builds the
+records only once the closure is complete, so a cap trip builds none.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .bits import iter_bits, to_tuple
-from .errors import (
-    CapacityExceededError,
-    OracleLimitError,
-    PreconditionError,
-    WitnessNotFoundError,
-)
+from .errors import CapacityExceededError, SolverInvariantError
 from .graph import Graph
 
 
@@ -42,11 +38,6 @@ class Separator:
     @property
     def is_minimal(self) -> bool:
         return len(self.full) >= 2
-
-    @property
-    def excess_full(self) -> int:
-        """Number of full components beyond the first; positive iff minimal."""
-        return max(0, len(self.full) - 1)
 
 
 def analyze_separator(g: Graph, sep: int) -> Separator:
@@ -72,10 +63,6 @@ def _separator_of_component(g: Graph, comp: int, sep: int) -> Separator:
     return _separator(sep, pairs)
 
 
-def _is_minimal_separator(g: Graph, sep: int) -> bool:
-    return sum(nb == sep for _, nb in g.flood(g.full_mask & ~sep)) >= 2
-
-
 def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     """All minimal separators of g, canonically sorted and duplicate free.
 
@@ -84,20 +71,27 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     components C of g - N[v] over all v, are minimal separators, and so
     is N(C) for every component C of g - (S | N[x]), x in a minimal
     separator S; every minimal separator is a seed or is reached from one
-    by such moves.  Each candidate is validated on its whole decomposition
-    from the C that produced it (see the module docstring) and emitted
-    only with two or more full components.
+    by such moves.  So every candidate is minimal, with C and a second
+    full component of g - N(C):
 
-    Pending separators are expanded depth-first.  Every found separator
-    is expanded exactly once whatever the order, so the sorted result and
-    the flood count of a complete run are those of any order; expanding
-    the newest first reaches unseen separators sooner, which only
-    shortens the run up to a cap trip.  With cap > 0 the search aborts
-    once more than cap separators are found.
+    - Seeds.  N(C) lies in N(v), so the component of v in g - N(C) sees
+      all of N(C), and so does C.
+    - Moves.  Let B be a full component of g - S that does not hold C;
+      S has two.  N(C) lies in S and the component of g - S that holds C,
+      and x is not adjacent to C, so B | {x} avoids N(C).  Its component
+      in g - N(C) sees every vertex of N(C): those in S through B, and
+      those in N(x) through x.
+
+    The closure maps each candidate N(C) to the first C that produced it
+    and expands the candidates depth-first.  Every candidate is expanded
+    exactly once whatever the order, so the result and the flood count
+    of a complete run are those of any order; expanding the newest first
+    reaches unseen separators sooner, which only shortens the run up to
+    a cap trip.  With cap > 0 the search aborts once more than cap
+    separators are found, before any record is built.
     """
-    seen: set[int] = set()
-    out: list[Separator] = []
-    stack: list[Separator] = []
+    found: dict[int, int] = {}
+    stack: list[int] = []
 
     def regions():
         # the seeds first, then the expansions of the separators found;
@@ -105,23 +99,22 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
         for v in range(g.n):
             yield g.full_mask & ~(g.adj[v] | (1 << v))
         while stack:
-            s = stack.pop().set
+            s = stack.pop()
             for x in iter_bits(s):
                 yield g.full_mask & ~(s | g.adj[x] | (1 << x))
 
     for region in regions():
         for comp, nb in g.flood(region):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            sep = _separator_of_component(g, comp, nb)
-            if sep.is_minimal:
-                out.append(sep)
-                if cap and len(out) > cap:
-                    raise CapacityExceededError("minimal separators", cap, len(out))
-                stack.append(sep)
+            if nb not in found:
+                found[nb] = comp
+                if cap and len(found) > cap:
+                    raise CapacityExceededError("minimal separators", cap, len(found))
+                stack.append(nb)
 
-    out.sort(key=lambda s: to_tuple(s.set))
+    out = [_separator_of_component(g, found[nb], nb) for nb in sorted(found, key=to_tuple)]
+    for sep in out:
+        if not sep.is_minimal:
+            raise SolverInvariantError(f"candidate {to_tuple(sep.set)} is not a minimal separator")
     return out
 
 
@@ -235,93 +228,3 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
                 stack.append(sep)
 
     return sorted(found.values(), key=lambda s: to_tuple(s.set))
-
-
-def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[Separator]:
-    """Oracle: scan all vertex subsets for two or more full components."""
-    limit = oracle_limit(14) if limit is None else limit
-    if g.n > limit:
-        raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
-    out = []
-    for mask in range(1 << g.n):
-        if _is_minimal_separator(g, mask):
-            out.append(analyze_separator(g, mask))
-    out.sort(key=lambda s: to_tuple(s.set))
-    return out
-
-
-def component_cover_witness(
-    g: Graph,
-    sep: Separator,
-    comp_index: int,
-    v: int,
-    size_bound: int | None = None,
-) -> int:
-    """A small set Z inside one full component A with S contained in N(Z).
-
-    Requires v in A, A full along with at least one other component, and
-    every component of g[A] - {v} missing some separator vertex.  The
-    construction keeps v, takes the component of g[A] - {v} with the
-    largest neighborhood trace on S - N(v), and greedily shrinks its
-    N(v)-boundary to an inclusion-minimal cover of that trace.
-
-    On long-hole-free inputs the witness always exists; when the needed
-    structure is absent (so the input has a long hole) or ``size_bound``
-    is exceeded, WitnessNotFoundError carries diagnostics.
-    """
-    if not (0 <= comp_index < len(sep.components)):
-        raise PreconditionError("component index out of range")
-    comp = sep.components[comp_index]
-    if comp_index not in sep.full:
-        raise PreconditionError("chosen component is not full for the separator")
-    if len(sep.full) < 2:
-        raise PreconditionError("separator lacks a second full component")
-    if not comp >> v & 1:
-        raise PreconditionError(f"vertex {v} is not in the chosen component")
-
-    sub_comps = g.components(comp & ~(1 << v))
-    for sub in sub_comps:
-        if sep.set & ~g.neighborhood(sub) == 0:
-            raise PreconditionError(
-                "a component of the punctured side already sees the whole separator"
-            )
-
-    uncovered = sep.set & ~g.adj[v]  # separator vertices v does not see
-    if uncovered == 0:
-        return 1 << v
-
-    traces = [g.neighborhood(sub) & uncovered for sub in sub_comps]
-    if not traces:
-        raise WitnessNotFoundError(
-            "no sub-component can cover the unseen separator vertices",
-            {"separator": to_tuple(sep.set), "vertex": v},
-        )
-    best = max(range(len(traces)), key=lambda i: (traces[i].bit_count(), -i))
-    if any(t & ~traces[best] for t in traces):
-        raise WitnessNotFoundError(
-            "sub-component traces are not nested; input has a long hole",
-            {"separator": to_tuple(sep.set), "vertex": v},
-        )
-    boundary = sub_comps[best] & g.adj[v]
-    if uncovered & ~g.neighborhood(boundary):
-        raise WitnessNotFoundError(
-            "near boundary cannot cover the separator; input has a long hole",
-            {"separator": to_tuple(sep.set), "vertex": v},
-        )
-    cover = boundary
-    for z in iter_bits(boundary):
-        trial = cover & ~(1 << z)
-        if uncovered & ~g.neighborhood(trial) == 0:
-            cover = trial
-    witness = cover | (1 << v)
-    if sep.set & ~g.neighborhood(witness):
-        raise WitnessNotFoundError(
-            "constructed witness misses separator vertices",
-            {"separator": to_tuple(sep.set), "witness": to_tuple(witness)},
-        )
-    if size_bound is not None and witness.bit_count() > size_bound:
-        raise WitnessNotFoundError(
-            f"witness larger than bound {size_bound}; input has a large prism",
-            {"witness": to_tuple(witness), "bound": size_bound},
-        )
-    return witness

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and named fixtures for the test suite.
 
-Everything here is deliberately naive: subset scans and exhaustive
-enumeration only, so the oracles share no code path with the algorithms
-they judge.
+The oracles are deliberately naive: subset scans and exhaustive
+enumeration only, so they share no code path with the algorithms they
+judge.  The separator witness construction is here because only the
+tests run it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from holefree.bits import iter_bits, mask_of, to_tuple
+from holefree.errors import OracleLimitError, PreconditionError, WitnessNotFoundError
 from holefree.graph import Graph
+from holefree.separators import Separator, analyze_separator, oracle_limit
 
 
 # -- named fixtures -----------------------------------------------------------
@@ -80,6 +83,28 @@ def frank_chordal_mwis(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         if not any(g.has_edge(v, u) for u in chosen):
             chosen.append(v)
     return sum((g.weights[v] for v in chosen), Fraction(0)), tuple(sorted(chosen))
+
+
+def _is_minimal_separator(g: Graph, sep: int) -> bool:
+    return sum(nb == sep for _, nb in g.flood(g.full_mask & ~sep)) >= 2
+
+
+def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[Separator]:
+    """Scan all vertex subsets for two or more full components."""
+    limit = oracle_limit(14) if limit is None else limit
+    if g.n > limit:
+        raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
+    out = []
+    for mask in range(1 << g.n):
+        if _is_minimal_separator(g, mask):
+            out.append(analyze_separator(g, mask))
+    out.sort(key=lambda s: to_tuple(s.set))
+    return out
+
+
+def excess_full(sep: Separator) -> int:
+    """Number of full components beyond the first; positive iff minimal."""
+    return max(0, len(sep.full) - 1)
 
 
 def exhaustive_mwc(g: Graph) -> Fraction:
@@ -154,6 +179,85 @@ def minimal_fillins(g: Graph) -> list[tuple[tuple[int, int], ...]]:
         f for f in chordal_sets if not any(o < f for o in chordal_sets)
     ]
     return sorted(tuple(sorted(f)) for f in minimal)
+
+
+# -- separator witnesses ------------------------------------------------------
+
+def component_cover_witness(
+    g: Graph,
+    sep: Separator,
+    comp_index: int,
+    v: int,
+    size_bound: int | None = None,
+) -> int:
+    """A small set Z inside one full component A with S contained in N(Z).
+
+    Requires v in A, A full along with at least one other component, and
+    every component of g[A] - {v} missing some separator vertex.  The
+    construction keeps v, takes the component of g[A] - {v} with the
+    largest neighborhood trace on S - N(v), and greedily shrinks its
+    N(v)-boundary to an inclusion-minimal cover of that trace.
+
+    On long-hole-free inputs the witness always exists; when the needed
+    structure is absent (so the input has a long hole) or ``size_bound``
+    is exceeded, WitnessNotFoundError carries diagnostics.
+    """
+    if not (0 <= comp_index < len(sep.components)):
+        raise PreconditionError("component index out of range")
+    comp = sep.components[comp_index]
+    if comp_index not in sep.full:
+        raise PreconditionError("chosen component is not full for the separator")
+    if len(sep.full) < 2:
+        raise PreconditionError("separator lacks a second full component")
+    if not comp >> v & 1:
+        raise PreconditionError(f"vertex {v} is not in the chosen component")
+
+    sub_comps = g.components(comp & ~(1 << v))
+    for sub in sub_comps:
+        if sep.set & ~g.neighborhood(sub) == 0:
+            raise PreconditionError(
+                "a component of the punctured side already sees the whole separator"
+            )
+
+    uncovered = sep.set & ~g.adj[v]  # separator vertices v does not see
+    if uncovered == 0:
+        return 1 << v
+
+    traces = [g.neighborhood(sub) & uncovered for sub in sub_comps]
+    if not traces:
+        raise WitnessNotFoundError(
+            "no sub-component can cover the unseen separator vertices",
+            {"separator": to_tuple(sep.set), "vertex": v},
+        )
+    best = max(range(len(traces)), key=lambda i: (traces[i].bit_count(), -i))
+    if any(t & ~traces[best] for t in traces):
+        raise WitnessNotFoundError(
+            "sub-component traces are not nested; input has a long hole",
+            {"separator": to_tuple(sep.set), "vertex": v},
+        )
+    boundary = sub_comps[best] & g.adj[v]
+    if uncovered & ~g.neighborhood(boundary):
+        raise WitnessNotFoundError(
+            "near boundary cannot cover the separator; input has a long hole",
+            {"separator": to_tuple(sep.set), "vertex": v},
+        )
+    cover = boundary
+    for z in iter_bits(boundary):
+        trial = cover & ~(1 << z)
+        if uncovered & ~g.neighborhood(trial) == 0:
+            cover = trial
+    witness = cover | (1 << v)
+    if sep.set & ~g.neighborhood(witness):
+        raise WitnessNotFoundError(
+            "constructed witness misses separator vertices",
+            {"separator": to_tuple(sep.set), "witness": to_tuple(witness)},
+        )
+    if size_bound is not None and witness.bit_count() > size_bound:
+        raise WitnessNotFoundError(
+            f"witness larger than bound {size_bound}; input has a large prism",
+            {"witness": to_tuple(witness), "bound": size_bound},
+        )
+    return witness
 
 
 # -- corpus builders ----------------------------------------------------------

@@ -18,12 +18,10 @@ from holefree.pmc import (
     find_separator_cover_pair,
 )
 from holefree.recognition import find_k_prism, find_long_hole, largest_prism
-from holefree.separators import (
-    brute_force_minimal_separators,
-    component_cover_witness,
-    enumerate_minimal_separators,
-)
+from holefree.separators import enumerate_minimal_separators
 from holefree.solvers import balanced_separator, solve, solve_kprism_alg
+
+from oracles import brute_force_minimal_separators, component_cover_witness
 
 WEIGHT_STYLES = ("unit", "int", "decimal", "skew", "zeros")
 

@@ -1,5 +1,6 @@
-"""Property tests: incremental PMC enumeration against the subset scan, and
-laws of the file format and of the solver."""
+"""Property tests: incremental PMC enumeration against the subset scan, the
+candidate law of the separator enumeration, and laws of the file format and
+of the solver."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,10 +10,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from holefree.bits import iter_bits  # noqa: E402
 from holefree.engine import solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
 from holefree.pmc import enumerate_pmcs  # noqa: E402
-from holefree.separators import enumerate_minimal_separators  # noqa: E402
+from holefree.separators import analyze_separator, enumerate_minimal_separators  # noqa: E402
+
+from oracles import brute_force_minimal_separators  # noqa: E402
 
 derandomized = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -36,6 +40,19 @@ def weighted_graphs(draw, weights=st.integers(min_value=0, max_value=9)):
 def test_incremental_pmcs_equal_bruteforce_with_certificates(g):
     incremental = enumerate_pmcs(g, enumerate_minimal_separators(g))
     assert incremental == enumerate_pmcs(g, mode="bruteforce")
+
+
+@derandomized
+@hypothesis.given(graphs())
+def test_every_seed_and_move_candidate_is_a_minimal_separator(g):
+    # the lemma that lets enumerate_minimal_separators keep every N(C) it
+    # generates: from g - N[v], and from g - (S | N[x]) for S in Δ(g), x in S
+    regions = [g.full_mask & ~(g.adj[v] | 1 << v) for v in range(g.n)]
+    for s in brute_force_minimal_separators(g):
+        regions += [g.full_mask & ~(s.set | g.adj[x] | 1 << x) for x in iter_bits(s.set)]
+    for region in regions:
+        for comp in g.components(region):
+            assert len(analyze_separator(g, g.neighborhood(comp)).full) >= 2
 
 
 @derandomized

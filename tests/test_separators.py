@@ -7,27 +7,29 @@ import pytest
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import CapacityExceededError, OracleLimitError, PreconditionError
 from holefree.families import complete_graph, er_graph, prism_graph, random_chordal
+from holefree import separators
 from holefree.graph import Graph
 from holefree.recognition import largest_prism
-from holefree.separators import (
-    analyze_separator,
-    brute_force_minimal_separators,
-    component_cover_witness,
-    enumerate_minimal_separators,
-)
+from holefree.separators import analyze_separator, enumerate_minimal_separators
 
-from oracles import c4, p4
+from oracles import (
+    brute_force_minimal_separators,
+    c4,
+    component_cover_witness,
+    excess_full,
+    p4,
+)
 
 
 def test_analyze_c4():
     s = analyze_separator(c4(), mask_of([0, 2]))
     assert s.components == (1 << 1, 1 << 3)
-    assert s.full == (0, 1) and s.is_minimal and s.excess_full == 1
+    assert s.full == (0, 1) and s.is_minimal and excess_full(s) == 1
 
 
 def test_analyze_p4_endpoint():
     s = analyze_separator(p4(), 1 << 0)
-    assert len(s.components) == 1 and not s.is_minimal and s.excess_full == 0
+    assert len(s.components) == 1 and not s.is_minimal and excess_full(s) == 0
 
 
 def test_analyze_prism_mixed_set_is_minimal():
@@ -127,6 +129,27 @@ def test_cap_trip_cost(monkeypatch):
     with pytest.raises(CapacityExceededError):
         enumerate_minimal_separators(prism_graph(13), cap=5000)
     assert floods < 25_000
+
+
+def test_records_are_built_only_after_the_closure(monkeypatch):
+    # a cap trip builds no separator record; a complete run builds one per
+    # minimal separator
+    built = 0
+    real = separators._separator_of_component
+
+    def counted(g, comp, sep):
+        nonlocal built
+        built += 1
+        return real(g, comp, sep)
+
+    monkeypatch.setattr(separators, "_separator_of_component", counted)
+    with pytest.raises(CapacityExceededError) as err:
+        enumerate_minimal_separators(prism_graph(13), cap=5000)
+    assert err.value.count == 5001 and built == 0
+    for g in (prism_graph(6), random_chordal(40, 120, random.Random(12))):
+        built = 0
+        seps = enumerate_minimal_separators(g)
+        assert built == len(seps) > 0
 
 
 def test_oracle_limit():
