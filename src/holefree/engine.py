@@ -1,12 +1,13 @@
 """Exact MWIS via dynamic programming over blocks and potential maximal cliques.
 
-A block is a connected set D together with S = N(D).  Since every minimal
-separator is a clique in some chordal completion, an optimum independent
-set meets it in at most one vertex; the table is therefore indexed by the
-block and a single trace vertex of S (or none).  The value of an entry is
-the best weight achievable inside D compatibly with the trace; caps (PMCs
-squeezed between S and S | D) split D into strictly smaller child blocks,
-the components of g - cap inside D.
+A block is a connected set D together with S = N(D): a full component of
+a minimal separator S, so the separator record already holds N(D).  Since
+every minimal separator is a clique in some chordal completion, an optimum
+independent set meets it in at most one vertex; the table is therefore
+indexed by the block and a single trace vertex of S (or none).  The value
+of an entry is the best weight achievable inside D compatibly with the
+trace; caps (PMCs squeezed between S and S | D) split D into strictly
+smaller child blocks, the components of g - cap inside D.
 
 Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
 Comput. 2001): Ω is a cap of (S, D) exactly when a component C of g - Ω
@@ -125,13 +126,16 @@ def index_caps(g: Graph, pmcs: list[Pmc], blocks: list[Block]) -> list[list[int]
     return caps
 
 
-def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
+def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveResult:
     """Exact MWIS on a connected graph from its complete PMC family.
 
-    ``blocks`` is the block family (component masks); neighborhoods and cap
-    indexing are derived here.  The children of a block D under a cap Ω are
-    the components of g - Ω inside D.  The whole graph is the top block
-    (∅, V), whose caps are all PMCs and whose single entry is the answer.
+    ``blocks`` is the block family as (D, N(D)) pairs; cap indexing is
+    derived here.  The children of a block D under a cap Ω are the
+    components of g - Ω inside D, strictly smaller than D, so a stable
+    sort by size alone orders the tables; the order among blocks of one
+    size changes no entry, as each is a maximum under a total-order
+    tie-break.  The whole graph is the top block (∅, V), whose caps are
+    all PMCs and whose single entry is the answer.
     Weights are scaled once by the LCM of their denominators so the table
     holds ints; the optimum goes back to a ``Fraction`` at the end.
     Witnesses are assembled bottom-up with the canonical tie-break
@@ -141,8 +145,8 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[int]) -> SolveResult:
         raise PreconditionError("solve_bt needs a connected graph")
     t0 = time.perf_counter()
 
-    ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
-    blocks_ = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+    ordered = sorted(blocks, key=lambda b: b[0].bit_count())
+    blocks_ = [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
     scale, w = scaled_weights(g)

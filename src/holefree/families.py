@@ -98,10 +98,15 @@ def grow_lhf(
     the recognizers.
 
     A long hole of g + uv that g lacks passes through uv, so only the
-    holes through uv are searched (:func:`long_hole_through`).
+    holes through uv are searched (:func:`long_hole_through`).  Likewise a
+    k-prism of g + uv that g lacks holds u, and a k-prism has diameter at
+    most 2, so only g + uv induced on the ball of radius 2 around u is
+    searched.  So g must have neither to begin with.
     """
     if find_long_hole(g) is not None:
         raise PreconditionError("grow_lhf needs a long-hole-free graph")
+    if forbid_prism is not None and find_k_prism(g, forbid_prism) is not None:
+        raise PreconditionError(f"grow_lhf needs a graph with no {forbid_prism}-prism")
     nonedges = [
         (u, v)
         for u in range(g.n)
@@ -115,11 +120,18 @@ def grow_lhf(
         if added >= extra_edges or tries >= max_tries:
             break
         tries += 1
-        cand = g.with_edges([e])
-        if long_hole_through(cand, *e) is not None:
+        u, v = e
+        adj = list(g.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        cand = Graph.from_rows(adj, g.weights)
+        if long_hole_through(cand, u, v) is not None:
             continue
-        if forbid_prism is not None and find_k_prism(cand, forbid_prism) is not None:
-            continue
+        if forbid_prism is not None:
+            ball = cand.neighborhood(adj[u] | 1 << u, closed=True)
+            near = [a & ball if ball >> x & 1 else 0 for x, a in enumerate(adj)]
+            if find_k_prism(Graph.from_rows(near, g.weights), forbid_prism) is not None:
+                continue
         g = cand
         added += 1
     return g

@@ -159,16 +159,22 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
+    @classmethod
+    def from_rows(cls, adj: Iterable[int], weights: tuple[Fraction, ...]) -> "Graph":
+        """A graph straight from symmetric, loop-free adjacency rows and one
+        weight per row, taken as they are."""
+        g = cls.__new__(cls)
+        g.adj = tuple(adj)
+        g.n = len(g.adj)
+        g.full_mask = (1 << g.n) - 1
+        g.weights = weights
+        return g
+
     def complement(self) -> "Graph":
         """Weight-preserving complement: uv is an edge iff it was not one."""
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.full_mask = self.full_mask
-        g.weights = self.weights
-        g.adj = tuple(
-            self.full_mask & ~a & ~(1 << v) for v, a in enumerate(self.adj)
+        return Graph.from_rows(
+            (self.full_mask & ~a & ~(1 << v) for v, a in enumerate(self.adj)), self.weights
         )
-        return g
 
     def with_weights(self, weights: Iterable) -> "Graph":
         return Graph(self.n, self.edges(), weights)
@@ -191,12 +197,7 @@ class Graph:
     def prefix(self, i: int) -> "Graph":
         """Induced subgraph on vertices 0..i-1, labels preserved."""
         mask = (1 << i) - 1
-        g = Graph.__new__(Graph)
-        g.n = i
-        g.full_mask = mask
-        g.weights = self.weights[:i]
-        g.adj = tuple(a & mask for a in self.adj[:i])
-        return g
+        return Graph.from_rows((a & mask for a in self.adj[:i]), self.weights[:i])
 
     # -- misc ----------------------------------------------------------------
 

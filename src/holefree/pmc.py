@@ -403,16 +403,19 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     return list(family.values())
 
 
-def block_family(g: Graph, minseps: list[Separator]) -> list[int]:
-    """Deduplicated union of the components of g - S over all minimal S.
+def block_family(g: Graph, minseps: list[Separator]) -> list[tuple[int, int]]:
+    """The blocks (D, N(D)): each full component D of each minimal
+    separator S, with N(D) = S, in the order of ``minseps``.
 
-    Every component left by removing any PMC belongs to this family, which
-    is what the dynamic program needs.
+    These D are all the components of g - S over all minimal S.  For
+    such a component C, C is a full component of g - N(C); so is the
+    component of g - N(C) that holds a full component B != C of S, as B
+    avoids N(C), which lies in S, and sees all of S.  So N(C) is a
+    minimal separator with C full.  Every component left by removing any
+    PMC belongs to this family, which is what the dynamic program needs.
+    A block is listed once, as D fixes S = N(D).
     """
-    seen: set[int] = set()
-    for sep in minseps:
-        seen.update(sep.components)
-    return sorted(seen, key=to_tuple)
+    return [(sep.components[j], sep.set) for sep in minseps for j in sep.full]
 
 
 def find_covering_component(g: Graph, pmc: Pmc, member_set: int) -> int | None:

@@ -9,6 +9,8 @@ itself, so it is a component of g minus the candidate, and a full one;
 its record floods only the rest of the graph.  The complete enumeration
 is a closure on bare sets that maps each N(C) to its C; it builds the
 records only once the closure is complete, so a cap trip builds none.
+A region of either closure depends only on a set, and many come back;
+each is flooded once.
 """
 
 from __future__ import annotations
@@ -89,9 +91,16 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     reaches unseen separators sooner, which only shortens the run up to
     a cap trip.  With cap > 0 the search aborts once more than cap
     separators are found, before any record is built.
+
+    Each region is flooded once.  A flood is a pure function of its
+    region, and the first flood of a region put every N(C) it returns
+    into ``found`` and on the stack, or raised; a repeat would add
+    nothing.  So skipping repeats keeps the insertion order, the stack,
+    the records and the cap trip, with its count, as they were.
     """
     found: dict[int, int] = {}
     stack: list[int] = []
+    flooded: set[int] = set()
 
     def regions():
         # the seeds first, then the expansions of the separators found;
@@ -104,6 +113,9 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
                 yield g.full_mask & ~(s | g.adj[x] | (1 << x))
 
     for region in regions():
+        if region in flooded:
+            continue
+        flooded.add(region)
         for comp, nb in g.flood(region):
             if nb not in found:
                 found[nb] = comp
@@ -175,7 +187,8 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
     C_a(T) | T, so every T is reached from the seed on b's side.  Every
     candidate is validated from the D or C that produced it, as in
     :func:`enumerate_minimal_separators`, depth-first like it, and kept
-    only if a lies in a full component.
+    only if a lies in a full component.  As there, each region is flooded
+    once: a repeat would find every N(C) in ``seen`` already.
     """
     bit = 1 << (g.n - 1)
     adj_a = g.adj[-1]
@@ -205,6 +218,7 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
 
     seen: set[int] = set()
     stack: list[Separator] = []
+    flooded: set[int] = set()
 
     def regions():
         # as in enumerate_minimal_separators: the seed, then the moves
@@ -218,6 +232,9 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
                         yield comp & ~g.adj[x]
 
     for region in regions():
+        if region in flooded:
+            continue
+        flooded.add(region)
         for comp, nb in g.flood(region):
             if nb in seen:
                 continue

@@ -279,6 +279,35 @@ def lhf_instance(rng: random.Random, n: int, style: str = "int") -> Graph:
     return random_weights(g, rng, style)
 
 
+def reference_grow_lhf(
+    g: Graph,
+    extra_edges: int,
+    rng: random.Random,
+    forbid_prism: int | None = None,
+    max_tries: int = 400,
+) -> Graph:
+    """``families.grow_lhf`` with its earlier loop: each candidate edge is
+    added by rebuilding the graph, and the prism search runs on all of it."""
+    from holefree.recognition import find_k_prism, long_hole_through
+
+    nonedges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    ]
+    rng.shuffle(nonedges)
+    added = 0
+    for e in nonedges[:max_tries]:
+        if added >= extra_edges:
+            break
+        cand = g.with_edges([e])
+        if long_hole_through(cand, *e) is not None:
+            continue
+        if forbid_prism is not None and find_k_prism(cand, forbid_prism) is not None:
+            continue
+        g = cand
+        added += 1
+    return g
+
+
 # -- reference enumerators ----------------------------------------------------
 
 def reference_pmcs(g: Graph) -> list[int]:
@@ -397,8 +426,9 @@ def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...
     summed over the cap's children.  Returns the weight and the witness."""
     from holefree.engine import _NONE, Block, _lex_first, index_caps, scaled_weights
 
-    ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
-    blocks_ = [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+    assert all(s == naive_neighborhood(g, d) for d, s in blocks)
+    ordered = sorted((d for d, _ in blocks), key=lambda d: (d.bit_count(), to_tuple(d)))
+    blocks_ = [Block(d, naive_neighborhood(g, d), i) for i, d in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
     scale, w = scaled_weights(g)

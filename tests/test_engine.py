@@ -48,8 +48,9 @@ def _pipeline(g):
 
 def _indexed_blocks(g):
     pmcs, blocks = _pipeline(g)
-    ordered = sorted(blocks, key=lambda d: (d.bit_count(), to_tuple(d)))
-    return pmcs, [Block(d, g.neighborhood(d), i) for i, d in enumerate(ordered)]
+    assert all(s == g.neighborhood(d) for d, s in blocks)
+    ordered = sorted(blocks, key=lambda b: (b[0].bit_count(), to_tuple(b[0])))
+    return pmcs, [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
 
 
 def test_index_caps_c4():

@@ -474,13 +474,26 @@ def test_chordal_pmcs_equal_clique_tree_bags(chordal_corpus_50):
 def test_block_family_c4():
     g = c4()
     blocks = block_family(g, enumerate_minimal_separators(g))
-    assert blocks == [1 << 0, 1 << 1, 1 << 2, 1 << 3]
+    assert sorted(d for d, _ in blocks) == [1 << 0, 1 << 1, 1 << 2, 1 << 3]
+    assert blocks == [
+        (1 << 1, mask_of([0, 2])),
+        (1 << 3, mask_of([0, 2])),
+        (1 << 0, mask_of([1, 3])),
+        (1 << 2, mask_of([1, 3])),
+    ]
 
 
 def test_block_family_p4():
     g = p4()
     blocks = block_family(g, enumerate_minimal_separators(g))
-    assert set(blocks) == {1 << 0, mask_of([2, 3]), mask_of([0, 1]), 1 << 3}
+    assert {d for d, _ in blocks} == {1 << 0, mask_of([2, 3]), mask_of([0, 1]), 1 << 3}
+    assert set(blocks) == {
+        (1 << 0, 1 << 1),
+        (mask_of([2, 3]), 1 << 1),
+        (mask_of([0, 1]), 1 << 2),
+        (1 << 3, 1 << 2),
+    }
+    assert len(blocks) == 4
 
 
 def test_block_family_k4_empty():

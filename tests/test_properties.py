@@ -1,6 +1,6 @@
 """Property tests: incremental PMC enumeration against the subset scan, the
-candidate law of the separator enumeration, and laws of the file format and
-of the solver."""
+candidate law of the separator enumeration, the block family, and laws of
+the file format and of the solver."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +13,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from holefree.bits import iter_bits  # noqa: E402
 from holefree.engine import solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
-from holefree.pmc import enumerate_pmcs  # noqa: E402
+from holefree.pmc import block_family, enumerate_pmcs  # noqa: E402
 from holefree.separators import analyze_separator, enumerate_minimal_separators  # noqa: E402
 
 from oracles import brute_force_minimal_separators  # noqa: E402
@@ -53,6 +53,17 @@ def test_every_seed_and_move_candidate_is_a_minimal_separator(g):
     for region in regions:
         for comp in g.components(region):
             assert len(analyze_separator(g, g.neighborhood(comp)).full) >= 2
+
+
+@derandomized
+@hypothesis.given(graphs())
+def test_blocks_are_all_components_with_their_neighborhoods(g):
+    # every component of g - S, S in Δ(g), is a full component of N(C), so
+    # the full components with N(D) = S from the records are all of them
+    blocks = block_family(g, enumerate_minimal_separators(g))
+    every = {c for s in brute_force_minimal_separators(g) for c in s.components}
+    assert {d for d, _ in blocks} == every and len(blocks) == len(every)
+    assert all(s == g.neighborhood(d) for d, s in blocks)
 
 
 @derandomized

@@ -30,7 +30,13 @@ from holefree.recognition import (
 from holefree.pmc import enumerate_pmcs
 from holefree.separators import enumerate_minimal_separators
 
-from oracles import c4, has_induced_cycle, minimal_fillins, prism_exists_bruteforce
+from oracles import (
+    c4,
+    has_induced_cycle,
+    minimal_fillins,
+    prism_exists_bruteforce,
+    reference_grow_lhf,
+)
 
 
 # -- long holes ---------------------------------------------------------------
@@ -83,6 +89,24 @@ def test_long_hole_through_new_edge_matches_full_search(n):
 def test_grow_lhf_rejects_a_graph_with_a_long_hole():
     with pytest.raises(PreconditionError):
         grow_lhf(cycle_graph(5), 1, random.Random(0))
+
+
+def test_grow_lhf_rejects_a_graph_with_the_forbidden_prism():
+    with pytest.raises(PreconditionError, match="no 3-prism"):
+        grow_lhf(prism_graph(3), 1, random.Random(0), forbid_prism=3)
+    grow_lhf(prism_graph(3), 1, random.Random(0), forbid_prism=4)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 17])
+@pytest.mark.parametrize("forbid_prism", [None, 2, 3])
+def test_grow_lhf_matches_the_whole_graph_loop(seed, forbid_prism):
+    """The prism search on the ball around the new edge accepts exactly the
+    edges that the search on the whole graph accepts."""
+    for n in (12, 24, 36):
+        base = random_chordal(n, 2 * n, random.Random(seed * n))
+        got = grow_lhf(base, n, random.Random(seed), forbid_prism=forbid_prism)
+        want = reference_grow_lhf(base, n, random.Random(seed), forbid_prism=forbid_prism)
+        assert got == want, (seed, n)
 
 
 def test_long_hole_deterministic():

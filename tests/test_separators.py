@@ -10,7 +10,11 @@ from holefree.families import complete_graph, er_graph, prism_graph, random_chor
 from holefree import separators
 from holefree.graph import Graph
 from holefree.recognition import largest_prism
-from holefree.separators import analyze_separator, enumerate_minimal_separators
+from holefree.separators import (
+    analyze_separator,
+    enumerate_minimal_separators,
+    extend_minimal_separators,
+)
 
 from oracles import (
     brute_force_minimal_separators,
@@ -114,23 +118,6 @@ def test_capacity_cap_trips():
         assert len(enumerate_minimal_separators(g, cap=total)) == total
 
 
-def test_cap_trip_cost(monkeypatch):
-    # depth-first expansion reaches cap + 1 separators of the 13-prism in
-    # 17,267 floods; breadth-first order takes 34,648
-    floods = 0
-    real = Graph.flood
-
-    def counted(self, sub):
-        nonlocal floods
-        floods += 1
-        return real(self, sub)
-
-    monkeypatch.setattr(Graph, "flood", counted)
-    with pytest.raises(CapacityExceededError):
-        enumerate_minimal_separators(prism_graph(13), cap=5000)
-    assert floods < 25_000
-
-
 def test_records_are_built_only_after_the_closure(monkeypatch):
     # a cap trip builds no separator record; a complete run builds one per
     # minimal separator
@@ -150,6 +137,73 @@ def test_records_are_built_only_after_the_closure(monkeypatch):
         built = 0
         seps = enumerate_minimal_separators(g)
         assert built == len(seps) > 0
+
+
+def _spy_floods(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record every region Graph.flood is called on, and apart from that
+    the closures' own ones: those outside the record builder."""
+    every: list[int] = []
+    closure: list[int] = []
+    in_record = False
+    real_flood = Graph.flood
+    real_record = separators._separator_of_component
+
+    def flood(self, sub):
+        every.append(sub)
+        if not in_record:
+            closure.append(sub)
+        return real_flood(self, sub)
+
+    def record(g, comp, sep):
+        nonlocal in_record
+        in_record = True
+        try:
+            return real_record(g, comp, sep)
+        finally:
+            in_record = False
+
+    monkeypatch.setattr(Graph, "flood", flood)
+    monkeypatch.setattr(separators, "_separator_of_component", record)
+    return every, closure
+
+
+def test_each_closure_floods_a_region_once(monkeypatch):
+    every, closure = _spy_floods(monkeypatch)
+    rng = random.Random(13)
+    corpus = [prism_graph(k) for k in range(3, 9)]
+    corpus += [er_graph(rng.randint(8, 14), rng.uniform(0.2, 0.5), rng) for _ in range(6)]
+    corpus += [random_chordal(30, 60, rng)]
+    for g in corpus:
+        closure.clear()
+        enumerate_minimal_separators(g)
+        assert len(closure) == len(set(closure)) > 0
+        swept = 0
+        seps = enumerate_minimal_separators(g.prefix(1))
+        for i in range(2, g.n + 1):
+            closure.clear()
+            seps = extend_minimal_separators(g.prefix(i), seps)
+            assert len(closure) == len(set(closure))
+            swept += len(closure)
+        if g == prism_graph(8):
+            # flooding every region the moves yield took 1,800 floods
+            assert swept == 269
+
+
+def test_cap_trip_cost(monkeypatch):
+    # depth-first expansion that floods each region once reaches cap + 1
+    # separators of the 13-prism in 6,768 floods (breadth-first order took
+    # 34,648, and flooding every region 12,266); a complete run on the
+    # 9-prism takes 1,531: 1,021 regions and a record for each of its 510
+    # separators (5,118 when every region was flooded)
+    every, closure = _spy_floods(monkeypatch)
+    with pytest.raises(CapacityExceededError) as err:
+        enumerate_minimal_separators(prism_graph(13), cap=5000)
+    assert str(err.value) == "minimal separators: cap 5000 exceeded (5001 found so far)"
+    assert len(every) == 6768
+    every.clear()
+    closure.clear()
+    assert len(enumerate_minimal_separators(prism_graph(9))) == 510
+    assert len(every) == 1531 and len(closure) == 1021
 
 
 def test_oracle_limit():
