@@ -21,7 +21,6 @@ from .pmc import (
     DominationResult,
     Pmc,
     block_family,
-    certify_pmc,
     dominate_pmc,
     enumerate_pmcs,
     find_covering_component,
@@ -69,7 +68,6 @@ __all__ = [
     "enumerate_minimal_separators",
     "Pmc",
     "DominationResult",
-    "certify_pmc",
     "is_pmc",
     "enumerate_pmcs",
     "block_family",

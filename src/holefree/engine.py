@@ -12,9 +12,9 @@ smaller child blocks, the components of g - cap inside D.
 Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
 Comput. 2001): Ω is a cap of (S, D) exactly when a component C of g - Ω
 has N(C) = S and D meets Ω.  The whole graph is the top block (∅, V),
-whose caps are all PMCs.  The table holds ints: weights are scaled once by
-the LCM of their denominators and the optimum is a ``Fraction`` again at
-the end.
+whose caps are all PMCs.  The table holds plain ints: the perturbed
+weights of :func:`perturbed_weights`, whose one maximum spells both the
+optimum and the canonical witness, read off once by :func:`decode`.
 
 Every returned result re-checks its own witness: the set must be
 independent and its weight must equal the reported optimum.
@@ -87,19 +87,34 @@ def check_independent_witness(g: Graph, weight: Fraction, witness: int) -> None:
         )
 
 
-def scaled_weights(g: Graph) -> tuple[int, list[int]]:
-    """The LCM of the weights' denominators, and the weights times it as
-    ints, so that values add and compare exactly without Fractions."""
+def perturbed_weights(g: Graph) -> tuple[int, list[int]]:
+    """The LCM of the weights' denominators, and the perturbed int weights
+    w'(v) = w(v)·2^n + 2^(n-1-v) for w(v) > 0 and w'(v) = 0 otherwise, where
+    w is the weights times the LCM.
+
+    The bonus 2^(n-1-v) of a vertex exceeds the bonuses of all later
+    vertices together, and all bonuses together stay below 2^n.  So no two
+    sets of positive-weight vertices have the same sum, and the maximum of
+    the sum of w' over the independent sets is reached by one such set
+    only: the canonical witness, the lexicographically smallest maximum
+    weight independent set with no zero-weight vertex.  Values add and
+    compare as plain ints, with no tie-break; :func:`decode` reads the
+    weight and the witness off the optimum.
+    """
+    n = g.n
     scale = math.lcm(*(x.denominator for x in g.weights))
-    return scale, [x.numerator * (scale // x.denominator) for x in g.weights]
+    return scale, [
+        (x.numerator * (scale // x.denominator) << n) + (1 << (n - 1 - v)) if x else 0
+        for v, x in enumerate(g.weights)
+    ]
 
 
-def _lex_first(a: int, b: int) -> bool:
-    """Whether vertex set a sorts before b, for two sets neither inside the
-    other (true of equal-weight witnesses, which hold no zero-weight vertex):
-    the smallest vertex in exactly one of them is in a."""
-    diff = a ^ b
-    return bool(diff & -diff & a)
+def decode(n: int, scale: int, value: int) -> tuple[Fraction, int]:
+    """The weight and the vertex mask of a sum of perturbed weights of an
+    n-vertex graph: the value shifted right by n, over the scale, and the
+    low n bits, where bit n-1-v stands for vertex v."""
+    low = value & ((1 << n) - 1)
+    return Fraction(value >> n, scale), int(f"{low:0{n}b}"[::-1], 2)
 
 
 def index_caps(g: Graph, pmcs: list[Pmc], blocks: list[Block]) -> list[list[int]]:
@@ -132,14 +147,11 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveR
     ``blocks`` is the block family as (D, N(D)) pairs; cap indexing is
     derived here.  The children of a block D under a cap Ω are the
     components of g - Ω inside D, strictly smaller than D, so a stable
-    sort by size alone orders the tables; the order among blocks of one
-    size changes no entry, as each is a maximum under a total-order
-    tie-break.  The whole graph is the top block (∅, V), whose caps are
-    all PMCs and whose single entry is the answer.
-    Weights are scaled once by the LCM of their denominators so the table
-    holds ints; the optimum goes back to a ``Fraction`` at the end.
-    Witnesses are assembled bottom-up with the canonical tie-break
-    (lexicographically smaller), so reruns are byte-identical.
+    sort by size alone orders the tables.  The whole graph is the top
+    block (∅, V), whose caps are all PMCs and whose single entry is the
+    answer.  The table holds sums of :func:`perturbed_weights`, so each
+    entry is the one maximum of its choices, whatever the order among
+    blocks of one size, and the answer decodes to the canonical witness.
     """
     if not g.is_connected():
         raise PreconditionError("solve_bt needs a connected graph")
@@ -149,64 +161,58 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveR
     blocks_ = [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
-    scale, w = scaled_weights(g)
+    scale, w = perturbed_weights(g)
 
     if any(comp not in by_mask for p in pmcs for comp in p.components):
         raise SolverInvariantError("block family misses a component of g - PMC")
 
-    # tables[block id][trace] = (value, witness mask); a block's table has
-    # keys _NONE and its separator's vertices
-    tables: list[dict[int, tuple[int, int]]] = []
+    # tables[block id][trace] = value; a block's table has keys _NONE and
+    # its separator's vertices
+    tables: list[dict[int, int]] = []
     top = Block(g.full_mask, 0, len(blocks_))
     for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
         if not cap_ids:
             raise SolverInvariantError("a block has no cap; PMC family incomplete")
         d, trace = b.d, list(iter_bits(b.s))
-        # the best (value, witness) with no trace, and with each trace vertex
-        none_value, none_witness = -1, 0
-        values, witnesses = [-1] * len(trace), [0] * len(trace)
+        # the best value with no trace, and with each trace vertex
+        best_none = -1
+        best = [-1] * len(trace)
         for i in cap_ids:
             p = pmcs[i]
             kids = []
-            base, base_witness = 0, 0
+            base = 0
             for c in p.components:
                 if c & d:
                     tab = tables[by_mask[c]]
                     none = tab[_NONE]
                     kids.append((tab.get, none))
-                    base += none[0]
-                    base_witness |= none[1]
+                    base += none
             # no trace: the cap gives no vertex, or one vertex t of Ω & D
-            if base > none_value or base == none_value and _lex_first(base_witness, none_witness):
-                none_value, none_witness = base, base_witness
+            if base > best_none:
+                best_none = base
             own = p.set & d
             while own:
                 low = own & -own
                 own ^= low
                 t = low.bit_length() - 1
-                if w[t] > 0:
-                    value, witness = w[t], low
+                if w[t]:
+                    value = w[t]
                     for get, none in kids:
-                        sub = get(t, none)
-                        value += sub[0]
-                        witness |= sub[1]
-                    if value > none_value or value == none_value and _lex_first(witness, none_witness):
-                        none_value, none_witness = value, witness
+                        value += get(t, none)
+                    if value > best_none:
+                        best_none = value
             # trace u of S: the cap gives no vertex, and each child follows u
             for k, u in enumerate(trace):
-                value, witness = 0, 0
+                value = 0
                 for get, none in kids:
-                    sub = get(u, none)
-                    value += sub[0]
-                    witness |= sub[1]
-                if value > values[k] or value == values[k] and _lex_first(witness, witnesses[k]):
-                    values[k], witnesses[k] = value, witness
-        table = {_NONE: (none_value, none_witness)}
-        table.update(zip(trace, zip(values, witnesses)))
+                    value += get(u, none)
+                if value > best[k]:
+                    best[k] = value
+        table = {_NONE: best_none}
+        table.update(zip(trace, best))
         tables.append(table)
 
-    value, mask = tables[top.id][_NONE]
-    weight = Fraction(value, scale)
+    weight, mask = decode(g.n, scale, tables[top.id][_NONE])
     check_independent_witness(g, weight, mask)
     stats = SolveStats(
         pmcs=len(pmcs),
@@ -234,9 +240,7 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
             continue
         sub, vmap = g.induced(comp)
         minseps = enumerate_minimal_separators(sub, cap=cfg.cap_seps)
-        pmcs = enumerate_pmcs(
-            sub, minseps, mode="incremental", cap=cfg.cap_pmcs, cap_seps=cfg.cap_seps
-        )
+        pmcs = enumerate_pmcs(sub, minseps, cap=cfg.cap_pmcs, cap_seps=cfg.cap_seps)
         blocks = block_family(sub, minseps)
         res = solve_bt(sub, pmcs, blocks)
         stats.merge(res.stats)
@@ -251,7 +255,7 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
 def brute_force_mwis(g: Graph, limit: int | None = None) -> SolveResult:
     """Oracle: memoized include/exclude search on the minimum-index vertex,
-    on int-scaled weights with bitmask witnesses.
+    on the perturbed weights of :func:`perturbed_weights`.
 
     Returns the canonical witness: the lexicographically smallest maximum
     weight independent set among those avoiding zero-weight vertices.
@@ -260,27 +264,23 @@ def brute_force_mwis(g: Graph, limit: int | None = None) -> SolveResult:
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
     t0 = time.perf_counter()
-    scale, w = scaled_weights(g)
+    scale, w = perturbed_weights(g)
     adj = g.adj
-    memo: dict[int, tuple[int, int]] = {0: (0, 0)}
+    memo = {0: 0}
 
-    def best(mask: int) -> tuple[int, int]:
+    def best(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
         low = mask & -mask
         v = low.bit_length() - 1
         res = best(mask ^ low)
-        if w[v] > 0:
-            value, witness = best(mask & ~(adj[v] | low))
-            # on ties the include branch starts at the smallest vertex
-            if value + w[v] >= res[0]:
-                res = (value + w[v], witness | low)
+        if w[v]:
+            res = max(res, best(mask & ~(adj[v] | low)) + w[v])
         memo[mask] = res
         return res
 
-    value, witness = best(g.full_mask)
-    weight = Fraction(value, scale)
+    weight, witness = decode(g.n, scale, best(g.full_mask))
     check_independent_witness(g, weight, witness)
     stats = SolveStats(time_ms=(time.perf_counter() - t0) * 1000.0)
     return SolveResult(weight, to_tuple(witness), "brute", stats)

@@ -186,13 +186,14 @@ class Graph:
     def induced(self, sub: int) -> tuple["Graph", tuple[int, ...]]:
         """Compactly relabeled induced subgraph plus new-to-old vertex map."""
         vmap = to_tuple(sub)
-        index = {v: i for i, v in enumerate(vmap)}
-        edges = []
-        for i, v in enumerate(vmap):
+        bit = {v: 1 << i for i, v in enumerate(vmap)}
+        rows = []
+        for v in vmap:
+            row = 0
             for u in iter_bits(self.adj[v] & sub):
-                if u > v:
-                    edges.append((i, index[u]))
-        return Graph(len(vmap), edges, [self.weights[v] for v in vmap]), vmap
+                row |= bit[u]
+            rows.append(row)
+        return Graph.from_rows(rows, tuple(self.weights[v] for v in vmap)), vmap
 
     def prefix(self, i: int) -> "Graph":
         """Induced subgraph on vertices 0..i-1, labels preserved."""

@@ -37,7 +37,6 @@ from .bits import iter_bits, mask_of, to_tuple
 from .errors import (
     CapacityExceededError,
     NoDominationError,
-    OracleLimitError,
     PreconditionError,
     SolverInvariantError,
     WitnessNotFoundError,
@@ -49,7 +48,6 @@ from .separators import (
     analyze_separator,
     enumerate_minimal_separators,
     extend_minimal_separators,
-    oracle_limit,
 )
 
 
@@ -84,26 +82,23 @@ class DominationResult:
     trace: tuple[int, ...] | None = None  # (v, x, y) for the lemma chain
 
 
-def certify_pmc(g: Graph, cand: int) -> tuple[Pmc | None, str | None]:
-    """Certify the two PMC conditions; on failure name the violated one."""
+def is_pmc(g: Graph, cand: int) -> Pmc | None:
+    """The certificate of ``cand`` as a PMC of g, or None if it is not one."""
     if cand == 0:
-        return None, "empty set"
+        return None
     pairs = g.flood(g.full_mask & ~cand)
     return _check_pmc(g, cand, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
 
-def _check_pmc(
-    g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...]
-) -> tuple[Pmc | None, str | None]:
+def _check_pmc(g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...]) -> Pmc | None:
     """The two PMC conditions on the components of g - cand and their
     neighborhoods, in canonical order.
 
     The nonedges xy with y > x are covered exactly when they all lie in the
-    union of the component neighborhoods that contain x.  A failure names
-    the first uncovered nonedge (x, y) in lexicographic order.
+    union of the component neighborhoods that contain x.
     """
     if cand in nbrs:
-        return None, "a component sees the whole set"
+        return None
     adj = g.adj
     rest = cand
     while rest:
@@ -116,16 +111,9 @@ def _check_pmc(
             for nb in nbrs:
                 if nb & low:
                     seen |= nb
-            missing = targets & ~seen
-            if missing:
-                y = (missing & -missing).bit_length() - 1
-                return None, f"nonedge ({x}, {y}) not covered by any component"
-    return Pmc(cand, comps, nbrs), None
-
-
-def is_pmc(g: Graph, cand: int) -> Pmc | None:
-    pmc, _ = certify_pmc(g, cand)
-    return pmc
+            if targets & ~seen:
+                return None
+    return Pmc(cand, comps, nbrs)
 
 
 def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
@@ -137,13 +125,13 @@ def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
     with a added to the neighborhoods of those that meet N(a).
     """
     comps, nbrs, _ = absorb_last_vertex(g, pmc.components, pmc.neighborhoods)
-    kept, _ = _check_pmc(g, pmc.set, comps, nbrs)
+    kept = _check_pmc(g, pmc.set, comps, nbrs)
     if kept is None:
         bit = 1 << (g.n - 1)
         adj_a = g.adj[-1]
         comps = pmc.components
         nbrs = tuple(nb | bit if c & adj_a else nb for c, nb in zip(comps, pmc.neighborhoods))
-        kept, _ = _check_pmc(g, pmc.set | bit, comps, nbrs)
+        kept = _check_pmc(g, pmc.set | bit, comps, nbrs)
     return kept
 
 
@@ -172,7 +160,7 @@ def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
     if sep.set & ~adj_a & ~seen:
         return None
     nbrs = tuple(sep.set if j in sep.full else g.neighborhood(c) for j, c in enumerate(comps))
-    return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)[0]
+    return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)
 
 
 def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
@@ -236,16 +224,11 @@ def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
 
 
 def enumerate_pmcs(
-    g: Graph,
-    minseps: list[Separator] | None = None,
-    mode: str = "incremental",
-    cap: int = 0,
-    cap_seps: int = 0,
-    limit: int | None = None,
+    g: Graph, minseps: list[Separator], cap: int = 0, cap_seps: int = 0
 ) -> list[Pmc]:
     """The complete, canonically sorted PMC family of g.
 
-    Incremental mode first splits g into its :func:`atoms` along the
+    The enumeration first splits g into its :func:`atoms` along the
     clique minimal separators in ``minseps`` (Tarjan, Discrete Math. 1985;
     Berry, Pogorelcnik & Simonet, Algorithms 2010).  By Leimer's theorem
     the minimal triangulations of g are the unions of minimal
@@ -261,25 +244,7 @@ def enumerate_pmcs(
     of every swept atom; over either, CapacityExceededError.  The result
     is checked against ``minseps``: the neighborhood of each component
     left by a PMC must be in it.
-
-    Bruteforce mode tests every nonempty subset (oracle, small n only).
     """
-    if mode == "bruteforce":
-        limit = oracle_limit(14) if limit is None else limit
-        if g.n > limit:
-            raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
-        out = []
-        for cand in range(1, 1 << g.n):
-            pmc = is_pmc(g, cand)
-            if pmc is not None:
-                out.append(pmc)
-        out.sort(key=lambda p: to_tuple(p.set))
-        return out
-    if mode != "incremental":
-        raise ValueError(f"unknown mode {mode!r}")
-    if minseps is None:
-        raise PreconditionError("incremental enumeration needs the minimal separators")
-
     parts = atoms(g, minseps)
     if len(parts) == 1:
         family = _sweep(g, minseps, cap, cap_seps)

@@ -143,25 +143,29 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
     return True
 
 
-def _shortest_avoiding_path(g: Graph, source: int, target: int, allowed: int) -> list[int] | None:
-    """Lexicographically smallest BFS shortest path inside ``allowed``."""
-    if not (allowed >> source & 1) or not (allowed >> target & 1):
-        return None
+def _bfs_parents(g: Graph, source: int, allowed: int) -> dict[int, int]:
+    """The BFS tree from ``source`` inside ``allowed``, neighbors taken in
+    ascending order: each reached vertex's parent (-1 for the source),
+    keyed in visit order.  Its paths are the lexicographically smallest
+    shortest ones."""
     parent = {source: -1}
     frontier = deque([source])
     while frontier:
         u = frontier.popleft()
-        if u == target:
-            path = []
-            while u != -1:
-                path.append(u)
-                u = parent[u]
-            return path[::-1]
         for v in iter_bits(g.adj[u] & allowed):
             if v not in parent:
                 parent[v] = u
                 frontier.append(v)
-    return None
+    return parent
+
+
+def _path_to(parent: dict[int, int], u: int) -> list[int]:
+    """The path of a BFS tree from its source to u."""
+    path = []
+    while u != -1:
+        path.append(u)
+        u = parent[u]
+    return path[::-1]
 
 
 def find_long_hole(g: Graph) -> tuple[int, ...] | None:
@@ -193,17 +197,21 @@ def long_hole_through(g: Graph, x2: int, x3: int) -> tuple[int, ...] | None:
         return None
     blocked = g.adj[x2] | g.adj[x3] | (1 << x2) | (1 << x3)
     for x1 in iter_bits(starts):
-        allowed_base = g.full_mask & ~blocked | (1 << x1)
-        for x4 in iter_bits(ends):
-            if g.has_edge(x1, x4):
-                continue
-            path = _shortest_avoiding_path(g, x1, x4, allowed_base | (1 << x4))
-            if path is None:
-                continue
-            cycle = tuple([x3, x2] + path)
-            if not is_induced_cycle(g, cycle) or len(cycle) < 5:
-                raise SolverInvariantError(f"long-hole candidate failed check: {cycle}")
-            return cycle
+        # x4 is in N(x3), outside the region: a search from x1 to x4 only
+        # ends there, so x4 hangs off the first vertex of one BFS that sees it
+        parent = _bfs_parents(g, x1, g.full_mask & ~blocked | (1 << x1))
+        reach = 0
+        for u in parent:
+            reach |= g.adj[u]
+        hits = ends & ~g.adj[x1] & reach
+        if not hits:
+            continue
+        x4 = (hits & -hits).bit_length() - 1
+        u = next(u for u in parent if g.adj[u] >> x4 & 1)
+        cycle = tuple([x3, x2, *_path_to(parent, u), x4])
+        if not is_induced_cycle(g, cycle) or len(cycle) < 5:
+            raise SolverInvariantError(f"long-hole candidate failed check: {cycle}")
+        return cycle
     return None
 
 
@@ -219,10 +227,9 @@ def _hole_certificate(g: Graph) -> tuple[int, ...] | None:
             for y in iter_bits(nv):
                 if y <= x or g.has_edge(x, y):
                     continue
-                allowed = (g.full_mask & ~(nv | (1 << v))) | (1 << x) | (1 << y)
-                path = _shortest_avoiding_path(g, x, y, allowed)
-                if path is not None:
-                    cycle = tuple([v] + path)
+                parent = _bfs_parents(g, x, g.full_mask & ~(nv | (1 << v)) | (1 << x) | (1 << y))
+                if y in parent:
+                    cycle = tuple([v, *_path_to(parent, y)])
                     if not is_induced_cycle(g, cycle) or len(cycle) < 4:
                         raise SolverInvariantError(f"hole candidate failed check: {cycle}")
                     return cycle

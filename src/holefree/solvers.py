@@ -3,12 +3,13 @@
 The polynomial pipeline (separator enumeration + block DP), the prism
 branching driver, the degree-threshold driver with tree-decomposition DP,
 balanced separators from dominated potential maximal cliques, and maximum
-weight clique via complementation.
+weight clique via complementation.  Every exact strategy maximizes the
+perturbed int weight of :func:`~holefree.engine.perturbed_weights`, whose
+one maximum decodes to the canonical witness.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -25,10 +26,10 @@ from .engine import (
     SolveConfig,
     SolveResult,
     SolveStats,
-    _lex_first,
     brute_force_mwis,
     check_independent_witness,
-    scaled_weights,
+    decode,
+    perturbed_weights,
     solve_mwis,
 )
 from .graph import Graph
@@ -147,10 +148,9 @@ def solve_treewidth_dp(
     """Standard MWIS dynamic program over a tree decomposition rooted at node 0.
 
     Tables map the independent, zero-weight-free subsets of each bag to
-    (value, witness mask); child tables are merged through their projection
-    onto the shared vertices.  As in ``solve_bt``, weights are scaled once by
-    the LCM of their denominators so values are ints, and ties go to the
-    lexicographically smaller witness, which makes the result canonical.
+    their best value; child tables are merged through their projection
+    onto the shared vertices.  As in ``solve_bt``, values are sums of
+    perturbed weights, so the best one decodes to the canonical witness.
     """
     td.validate(g)
     t0 = time.perf_counter()
@@ -158,15 +158,15 @@ def solve_treewidth_dp(
         if b.bit_count() > bag_limit:
             raise WidthLimitError(f"bag of size {b.bit_count()} above limit {bag_limit}")
 
-    scale, w = scaled_weights(g)
-    usable = mask_of(v for v in range(g.n) if w[v] > 0)
+    scale, w = perturbed_weights(g)
+    usable = mask_of(v for v in range(g.n) if w[v])
     walk = td.walk()
     children: list[list[int]] = [[] for _ in td.bags]
     for x, parent in walk[1:]:
         children[parent].append(x)
 
     entries = 0
-    tables: list[dict[int, tuple[int, int]]] = [{} for _ in td.bags]
+    tables: list[dict[int, int]] = [{} for _ in td.bags]
     for node, _ in reversed(walk):
         bag = td.bags[node]
         own = {0: 0}  # independent subset -> its weight
@@ -178,23 +178,19 @@ def solve_treewidth_dp(
         projections = []
         for c in children[node]:
             shared = bag & td.bags[c]
-            proj: dict[int, tuple[int, int]] = {}
-            for sub, (value, witness) in tables[c].items():
+            proj: dict[int, int] = {}
+            for sub, value in tables[c].items():
                 key = sub & shared
-                proj[key] = _better((value - own[key], witness), proj.get(key, (-1, 0)))
+                proj[key] = max(value - own[key], proj.get(key, -1))
             projections.append((shared, proj))
         table = tables[node]
         for sub, value in own.items():
-            witness = sub
             for shared, proj in projections:
-                extra, more = proj[sub & shared]
-                value += extra
-                witness |= more
-            table[sub] = (value, witness)
+                value += proj[sub & shared]
+            table[sub] = value
         entries += len(table)
 
-    value, witness = functools.reduce(_better, tables[0].values())
-    weight = Fraction(value, scale)
+    weight, witness = decode(g.n, scale, max(tables[0].values()))
     check_independent_witness(g, weight, witness)
     stats = SolveStats(
         table_entries=entries, time_ms=(time.perf_counter() - t0) * 1000.0
@@ -211,17 +207,6 @@ def solve_kprism_alg(g: Graph, config: SolveConfig | None = None) -> SolveResult
     return solve_mwis(g, config)
 
 
-def _better(a: tuple, b: tuple) -> tuple:
-    """The better of two (value, witness mask) pairs: the higher value, then
-    the lexicographically smaller witness."""
-    return a if a[0] > b[0] or a[0] == b[0] and _lex_first(a[1], b[1]) else b
-
-
-def _lift(vmap: tuple[int, ...], witness: int) -> int:
-    """A witness of an induced subgraph as a mask of the parent graph."""
-    return mask_of(vmap[v] for v in iter_bits(witness))
-
-
 def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     """Prism branching: while a sqrt(n)-prism exists, guess its trace.
 
@@ -229,23 +214,23 @@ def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     vertices, so the admissible traces are the empty set, singletons, and
     nonadjacent cross pairs; each branch deletes the prism plus the trace's
     neighborhood and recurses.  Prism-free residues go to the pipeline;
-    tiny residues go to the oracle.  Every leaf returns its canonical
-    witness and the branches are compared as in ``solve_bt``, so the result
-    is canonical too.
+    tiny residues go to the oracle.  The recursion runs on g weighted by
+    :func:`~holefree.engine.perturbed_weights`, which each induced subgraph
+    keeps in g's vertex order, so every leaf returns the one maximum of the
+    perturbed sum, and the best branch decodes to the canonical witness.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
 
-    def rec(h: Graph) -> tuple[Fraction, int]:
+    def rec(h: Graph) -> int:
         if h.n < BRUTE_FLOOR:
-            res = brute_force_mwis(h, limit=max(BRUTE_FLOOR, h.n))
-            return res.weight, res.mask
+            return int(brute_force_mwis(h, limit=max(BRUTE_FLOOR, h.n)).weight)
         k = math.isqrt(h.n)
         prism = find_k_prism(h, k)
         if prism is None:
             res = solve_kprism_alg(h, config)
             stats.merge(res.stats)
-            return res.weight, res.mask
+            return int(res.weight)
         pv = prism.vertex_mask()
         members = to_tuple(pv)
         traces = [0]
@@ -254,16 +239,15 @@ def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
             for b in members[i + 1 :]:
                 if not h.has_edge(a, b) and h.weights[a] > 0 and h.weights[b] > 0:
                     traces.append(1 << a | 1 << b)
-        best = (-1, 0)
+        best = -1
         for trace in traces:
             stats.branches += 1
             removed = pv | h.neighborhood(trace, closed=True)
-            rest, vmap = h.induced(h.full_mask & ~removed)
-            val, wit = rec(rest)
-            best = _better((val + h.weight_of(trace), trace | _lift(vmap, wit)), best)
+            best = max(best, rec(h.induced(h.full_mask & ~removed)[0]) + int(h.weight_of(trace)))
         return best
 
-    weight, witness = rec(g)
+    scale, w = perturbed_weights(g)
+    weight, witness = decode(g.n, scale, rec(g.with_weights(w)))
     check_independent_witness(g, weight, witness)
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(weight, to_tuple(witness), "subexp1", stats)
@@ -276,28 +260,24 @@ def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     taking it (delete its closed neighborhood) or not (delete it); leaves
     of the branching are decomposed and solved by the subset DP.  A leaf
     whose decomposition has a bag too large for the DP goes to the pipeline
-    under ``config``, which may trip a cap.  Leaves return canonical
-    witnesses and the branches are compared as in ``solve_bt``, so the
-    result is the canonical witness.
+    under ``config``, which may trip a cap.  As in :func:`solve_subexp1`,
+    the recursion runs on the perturbed weights, so the best branch decodes
+    to the canonical witness.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
 
-    def rec(h: Graph) -> tuple[Fraction, int]:
+    def rec(h: Graph) -> int:
         if h.n <= 2:
-            res = brute_force_mwis(h, limit=2)
-            return res.weight, res.mask
+            return int(brute_force_mwis(h, limit=2).weight)
         tau = math.ceil(math.sqrt(h.n * math.log(h.n)))
         v = max(range(h.n), key=lambda u: (h.degree(u), -u))
         if h.degree(v) >= tau:
             stats.branches += 1
-            rest, vmap = h.induced(h.full_mask & ~(1 << v))
-            val, wit = rec(rest)
-            best = (val, _lift(vmap, wit))
+            best = rec(h.induced(h.full_mask & ~(1 << v))[0])
             if h.weights[v] > 0:
-                rest, vmap = h.induced(h.full_mask & ~(h.adj[v] | (1 << v)))
-                val, wit = rec(rest)
-                best = _better((val + h.weights[v], 1 << v | _lift(vmap, wit)), best)
+                rest = h.induced(h.full_mask & ~(h.adj[v] | (1 << v)))[0]
+                best = max(best, rec(rest) + int(h.weights[v]))
             return best
         try:
             td = build_tree_decomposition(h)
@@ -306,9 +286,10 @@ def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
         except WidthLimitError:
             res = solve_kprism_alg(h, config)
             stats.merge(res.stats)
-        return res.weight, res.mask
+        return int(res.weight)
 
-    weight, witness = rec(g)
+    scale, w = perturbed_weights(g)
+    weight, witness = decode(g.n, scale, rec(g.with_weights(w)))
     check_independent_witness(g, weight, witness)
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(weight, to_tuple(witness), "subexp2", stats)

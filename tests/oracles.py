@@ -8,6 +8,7 @@ tests run it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -100,6 +101,18 @@ def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[S
             out.append(analyze_separator(g, mask))
     out.sort(key=lambda s: to_tuple(s.set))
     return out
+
+
+def brute_force_pmcs(g: Graph) -> list:
+    """The certified PMCs of g by testing every nonempty vertex subset,
+    canonically sorted."""
+    from holefree.pmc import is_pmc
+
+    limit = oracle_limit(14)
+    if g.n > limit:
+        raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
+    out = [p for cand in range(1, 1 << g.n) if (p := is_pmc(g, cand)) is not None]
+    return sorted(out, key=lambda p: to_tuple(p.set))
 
 
 def excess_full(sep: Separator) -> int:
@@ -423,15 +436,18 @@ def reference_certify_pmc(g: Graph, cand: int):
 def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...]]:
     """The block DP of ``engine.solve_bt`` with its earlier loop: for each
     trace u and each cap, a list of (trace, value, witness) choices, each
-    summed over the cap's children.  Returns the weight and the witness."""
-    from holefree.engine import _NONE, Block, _lex_first, index_caps, scaled_weights
+    summed over the cap's children, on LCM-scaled weights with an explicit
+    witness mask per entry and the lexicographic tie-break.  Returns the
+    weight and the witness."""
+    from holefree.engine import _NONE, Block, index_caps
 
     assert all(s == naive_neighborhood(g, d) for d, s in blocks)
     ordered = sorted((d for d, _ in blocks), key=lambda d: (d.bit_count(), to_tuple(d)))
     blocks_ = [Block(d, naive_neighborhood(g, d), i) for i, d in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
-    scale, w = scaled_weights(g)
+    scale = math.lcm(*(x.denominator for x in g.weights))
+    w = [x.numerator * (scale // x.denominator) for x in g.weights]
     tables: list[dict[int, tuple[int, int]]] = []
     top = Block(g.full_mask, 0, len(blocks_))
     for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
@@ -460,3 +476,10 @@ def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...
         tables.append(table)
     value, mask = tables[top.id][_NONE]
     return Fraction(value, scale), to_tuple(mask)
+
+
+def _lex_first(a: int, b: int) -> bool:
+    """Whether vertex set a sorts before b, for two sets neither inside the
+    other: the smallest vertex in exactly one of them is in a."""
+    diff = a ^ b
+    return bool(diff & -diff & a)

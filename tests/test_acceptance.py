@@ -21,7 +21,7 @@ from holefree.recognition import find_k_prism, find_long_hole, largest_prism
 from holefree.separators import enumerate_minimal_separators
 from holefree.solvers import balanced_separator, solve, solve_kprism_alg
 
-from oracles import brute_force_minimal_separators, component_cover_witness
+from oracles import brute_force_minimal_separators, brute_force_pmcs, component_cover_witness
 
 WEIGHT_STYLES = ("unit", "int", "decimal", "skew", "zeros")
 
@@ -64,7 +64,7 @@ def test_criterion_3_pmc_oracle_equivalence(random_corpus_12, chordal_corpus_50)
     mismatches = 0
     for g in random_corpus_12:
         inc = {p.set for p in enumerate_pmcs(g, enumerate_minimal_separators(g))}
-        brute = {p.set for p in enumerate_pmcs(g, mode="bruteforce")}
+        brute = {p.set for p in brute_force_pmcs(g)}
         if inc != brute:
             mismatches += 1
     bag_mismatches = 0

@@ -7,12 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from holefree.bits import mask_of, to_tuple
+from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.engine import (
     Block,
     SolveConfig,
     brute_force_mwis,
+    decode,
     index_caps,
+    perturbed_weights,
     solve_bt,
     solve_mwis,
 )
@@ -188,6 +190,14 @@ def _networkx_mwis_weight(g):
     return Fraction(nx.max_weight_clique(comp, weight="weight")[1], scale)
 
 
+def _canonical_by_oracle(g, oracle_weight):
+    """The weight and the canonical witness mask of g, decoded from the
+    optimum that one call of an exact weight oracle finds on the perturbed
+    weights."""
+    scale, w = perturbed_weights(g)
+    return decode(g.n, scale, int(oracle_weight(g.with_weights(w))))
+
+
 def test_frank_oracle_matches_exhaustive(chordal_corpus_50):
     rng = random.Random(7)
     for g in chordal_corpus_50:
@@ -202,7 +212,7 @@ def test_matches_frank_on_large_chordal(n):
     rng = random.Random(n)
     g = random_weights(random_chordal(n, 2 * n, rng), rng, "int")
     res = solve_mwis(g)
-    assert res.weight == frank_chordal_mwis(g)[0]
+    assert (res.weight, res.mask) == _canonical_by_oracle(g, lambda h: frank_chordal_mwis(h)[0])
     assert not any(g.has_edge(u, v) for u, v in combinations(res.vertices, 2))
     assert sum(g.weights[v] for v in res.vertices) == res.weight
 
@@ -218,7 +228,8 @@ def test_matches_networkx_beyond_brute_force_reach(family, n, style):
     if family == "grow_lhf":
         g = grow_lhf(g, n // 2, rng)
     g = random_weights(g, rng, style)
-    assert solve_mwis(g).weight == _networkx_mwis_weight(g)
+    res = solve_mwis(g)
+    assert (res.weight, res.mask) == _canonical_by_oracle(g, _networkx_mwis_weight)
 
 
 def test_solve_bt_rejects_disconnected():
@@ -259,6 +270,19 @@ def test_brute_canonical_witness_matches_subset_scan():
         expect = exhaustive_mwis(g)
         got = brute_force_mwis(g)
         assert (got.weight, got.vertices) == expect
+
+
+def test_decode_round_trip_at_n_above_200():
+    rng = random.Random(41)
+    n = 211
+    g = Graph(n, weights=[Fraction(rng.randint(0, 9), rng.choice([1, 3, 10])) for _ in range(n)])
+    scale, w = perturbed_weights(g)
+    positive = mask_of(v for v in range(n) if g.weights[v])
+    masks = [0, g.full_mask, 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(40))]
+    for mask in masks:
+        value = sum(w[v] for v in iter_bits(mask))
+        # zero-weight vertices carry no bonus, so they drop out of the witness
+        assert decode(n, scale, value) == (g.weight_of(mask), mask & positive)
 
 
 def test_brute_limit():

@@ -21,7 +21,6 @@ from holefree.graph import Graph
 from holefree.pmc import (
     atoms,
     block_family,
-    certify_pmc,
     Pmc,
     dominate_pmc,
     enumerate_pmcs,
@@ -40,6 +39,7 @@ from holefree.separators import (
 )
 
 from oracles import (
+    brute_force_pmcs,
     c4,
     naive_neighborhood,
     p4,
@@ -61,14 +61,14 @@ def test_is_pmc_k3_whole():
 
 
 def test_is_pmc_c4_edge_fails_condition_one():
-    pmc, why = certify_pmc(c4(), mask_of([0, 1]))
-    assert pmc is None and "whole set" in why
+    g, cand = c4(), mask_of([0, 1])
+    assert is_pmc(g, cand) is None and "whole set" in reference_certify_pmc(g, cand)[1]
 
 
 def test_is_pmc_uncovered_nonedge():
     g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus (2, 3)
-    pmc, why = certify_pmc(g, g.full_mask)  # no component covers the nonedge
-    assert pmc is None and "not covered" in why
+    cand = g.full_mask  # no component covers the nonedge
+    assert is_pmc(g, cand) is None and "not covered" in reference_certify_pmc(g, cand)[1]
 
 
 def _certify_cases():
@@ -92,11 +92,10 @@ def _certify_cases():
 def test_certify_matches_pairwise_reference():
     verdicts = {"pmc": 0, "fail": 0}
     for g, cand in _certify_cases():
-        pmc, why = certify_pmc(g, cand)
-        ref, ref_why = reference_certify_pmc(g, cand)
-        assert why == ref_why
+        pmc = is_pmc(g, cand)
+        ref, _ = reference_certify_pmc(g, cand)
+        assert (pmc is None) == (ref is None)
         if ref is None:
-            assert pmc is None
             verdicts["fail"] += 1
             continue
         comps, covers = ref
@@ -124,7 +123,7 @@ def test_enumerate_p4_chordal():
 
 def test_enumerate_c4_four_triples():
     g = c4()
-    expected = {p.set for p in enumerate_pmcs(g, mode="bruteforce")}
+    expected = {p.set for p in brute_force_pmcs(g)}
     assert expected == {
         mask_of([0, 1, 2]),
         mask_of([1, 2, 3]),
@@ -144,7 +143,7 @@ def test_enumerate_k4_single():
 def test_incremental_matches_bruteforce(random_corpus_12):
     for g in random_corpus_12[:60]:
         inc = {p.set for p in enumerate_pmcs(g, enumerate_minimal_separators(g))}
-        brute = {p.set for p in enumerate_pmcs(g, mode="bruteforce")}
+        brute = {p.set for p in brute_force_pmcs(g)}
         assert inc == brute
 
 
@@ -172,7 +171,7 @@ EDGE_CASE_GRAPHS = {
 def test_incremental_edge_cases_match_bruteforce(name):
     g = EDGE_CASE_GRAPHS[name]
     got = enumerate_pmcs(g, enumerate_minimal_separators(g))
-    assert got == enumerate_pmcs(g, mode="bruteforce")
+    assert got == brute_force_pmcs(g)
 
 
 # -- the clique minimal separator decomposition --------------------------------
@@ -193,7 +192,7 @@ def test_atom_family_matches_bruteforce_on_multi_atom_graphs():
     disconnected = swept = 0
     for g in _multi_atom_corpus():
         seps = enumerate_minimal_separators(g)
-        assert enumerate_pmcs(g, seps) == enumerate_pmcs(g, mode="bruteforce"), g.adj
+        assert enumerate_pmcs(g, seps) == brute_force_pmcs(g), g.adj
         disconnected += not g.is_connected()  # the empty set is a clique separator
         swept += any(not g.is_clique(a) for a in atoms(g, seps))
     assert disconnected > 50 and swept > 50
@@ -301,7 +300,7 @@ def _assert_rule_one_certificates(g):
 
 
 def _assert_rule_two_certificates(g):
-    """lift_separator gives certify_pmc's verdict on S | a, with the same
+    """lift_separator gives is_pmc's verdict on S | a, with the same
     components and neighborhoods in order, for every S in Δ(G_{i-1}); the
     carried S are among them.  Returns the number of PMCs it accepted."""
     accepted = 0
@@ -381,7 +380,7 @@ def test_rule_three_pretest_keeps_every_pmc(random_corpus_12):
     checked = 0
     for g in random_corpus_12:
         seps = enumerate_minimal_separators(g)
-        for pmc in enumerate_pmcs(g, mode="bruteforce"):
+        for pmc in brute_force_pmcs(g):
             for sep in seps:
                 x = pmc.set & ~sep.set
                 if sep.set & ~pmc.set or not x:
@@ -584,7 +583,7 @@ def test_dominate_c4_triple_by_middle_vertex():
 
 def test_dominate_prism_never_falls_back():
     g = prism_graph(3)
-    for p in enumerate_pmcs(g, mode="bruteforce"):
+    for p in brute_force_pmcs(g):
         dom = dominate_pmc(g, p)
         assert len(dom.z) <= 3
         assert dom.method != "brute-fallback"

@@ -10,13 +10,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from holefree.bits import iter_bits  # noqa: E402
-from holefree.engine import solve_mwis  # noqa: E402
+from holefree.bits import iter_bits, to_tuple  # noqa: E402
+from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
 from holefree.pmc import block_family, enumerate_pmcs  # noqa: E402
 from holefree.separators import analyze_separator, enumerate_minimal_separators  # noqa: E402
 
-from oracles import brute_force_minimal_separators  # noqa: E402
+from oracles import brute_force_minimal_separators, brute_force_pmcs, exhaustive_mwis  # noqa: E402
 
 derandomized = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -39,7 +39,7 @@ def weighted_graphs(draw, weights=st.integers(min_value=0, max_value=9)):
 @hypothesis.given(graphs())
 def test_incremental_pmcs_equal_bruteforce_with_certificates(g):
     incremental = enumerate_pmcs(g, enumerate_minimal_separators(g))
-    assert incremental == enumerate_pmcs(g, mode="bruteforce")
+    assert incremental == brute_force_pmcs(g)
 
 
 @derandomized
@@ -83,6 +83,17 @@ def test_witness_is_independent_with_the_reported_weight(g):
     res = solve_mwis(g)
     assert not any(g.has_edge(u, v) for u, v in combinations(res.vertices, 2))
     assert sum((g.weights[v] for v in res.vertices), Fraction(0)) == res.weight
+
+
+@derandomized
+@hypothesis.given(weighted_graphs(st.builds(Fraction, st.integers(0, 6), st.sampled_from((1, 2, 3)))))
+def test_the_perturbed_optimum_decodes_to_the_canonical_witness(g):
+    # the maximum of the perturbed sum over all independent sets, by a subset
+    # scan, spells the canonical witness: zero and fractional weights, ties
+    scale, w = perturbed_weights(g)
+    independent = (s for s in range(1 << g.n) if g.is_independent(s))
+    weight, mask = decode(g.n, scale, max(sum(w[v] for v in iter_bits(s)) for s in independent))
+    assert (weight, to_tuple(mask)) == exhaustive_mwis(g)
 
 
 @derandomized
