@@ -31,7 +31,7 @@ from .bits import iter_bits, mask_of, to_tuple
 from .errors import OracleLimitError, PreconditionError, SolverInvariantError
 from .graph import Graph
 from .pmc import Pmc, block_family, enumerate_pmcs
-from .separators import enumerate_minimal_separators, oracle_limit
+from .separators import enumerate_minimal_separators
 
 _NONE = -1  # trace marker for "no separator vertex chosen"
 
@@ -87,6 +87,12 @@ def check_independent_witness(g: Graph, weight: Fraction, witness: int) -> None:
         )
 
 
+def int_weights(g: Graph) -> tuple[int, list[int]]:
+    """The LCM of the weights' denominators, and the weights times it."""
+    scale = math.lcm(*(x.denominator for x in g.weights))
+    return scale, [x.numerator * (scale // x.denominator) for x in g.weights]
+
+
 def perturbed_weights(g: Graph) -> tuple[int, list[int]]:
     """The LCM of the weights' denominators, and the perturbed int weights
     w'(v) = w(v)·2^n + 2^(n-1-v) for w(v) > 0 and w'(v) = 0 otherwise, where
@@ -102,11 +108,8 @@ def perturbed_weights(g: Graph) -> tuple[int, list[int]]:
     weight and the witness off the optimum.
     """
     n = g.n
-    scale = math.lcm(*(x.denominator for x in g.weights))
-    return scale, [
-        (x.numerator * (scale // x.denominator) << n) + (1 << (n - 1 - v)) if x else 0
-        for v, x in enumerate(g.weights)
-    ]
+    scale, w = int_weights(g)
+    return scale, [(x << n) + (1 << (n - 1 - v)) if x else 0 for v, x in enumerate(w)]
 
 
 def decode(n: int, scale: int, value: int) -> tuple[Fraction, int]:
@@ -253,14 +256,13 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     return SolveResult(total, witness, "bt", stats)
 
 
-def brute_force_mwis(g: Graph, limit: int | None = None) -> SolveResult:
+def brute_force_mwis(g: Graph, limit: int = 20) -> SolveResult:
     """Oracle: memoized include/exclude search on the minimum-index vertex,
     on the perturbed weights of :func:`perturbed_weights`.
 
     Returns the canonical witness: the lexicographically smallest maximum
     weight independent set among those avoiding zero-weight vertices.
     """
-    limit = oracle_limit(20) if limit is None else limit
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
     t0 = time.perf_counter()

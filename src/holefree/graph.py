@@ -253,8 +253,8 @@ def format_weight(w: Fraction) -> str:
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format; errors carry line numbers."""
     n = m = None
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
+    edges = 0
+    rows: dict[int, int] = {}  # adjacency rows, filled while parsing
     weight_lines: dict[int, Fraction] = {}
     last_line = 0
 
@@ -307,20 +307,23 @@ def parse_graph(text: str) -> Graph:
                     raise GraphFormatError(f"vertex {x} out of range 1..{n}", lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in seen_edges:
+            row = rows.get(u - 1, 0)
+            if row >> (v - 1) & 1:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-            seen_edges.add(key)
-            edges.append(key)
+            rows[u - 1] = row | 1 << (v - 1)
+            rows[v - 1] = rows.get(v - 1, 0) | 1 << (u - 1)
+            edges += 1
         else:
             raise GraphFormatError(f"unknown directive {tag!r}", lineno)
 
     if n is None:
         raise GraphFormatError("missing 'p mwis <n> <m>' header", last_line or None)
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges but {len(edges)} given", last_line)
-    weights = [weight_lines.get(v, Fraction(1)) for v in range(n)]
-    return Graph(n, edges, weights)
+    if edges != m:
+        raise GraphFormatError(f"header declares {m} edges but {edges} given", last_line)
+    one = Fraction(1)
+    return Graph.from_rows(
+        [rows.get(v, 0) for v in range(n)], tuple(weight_lines.get(v, one) for v in range(n))
+    )
 
 
 def emit_graph(g: Graph, comments: Iterable[str] = ()) -> str:

@@ -79,7 +79,6 @@ class DominationResult:
 
     z: tuple[int, ...]
     method: str  # "single-vertex" | "lemma-chain" | "brute-fallback"
-    trace: tuple[int, ...] | None = None  # (v, x, y) for the lemma chain
 
 
 def is_pmc(g: Graph, cand: int) -> Pmc | None:
@@ -445,6 +444,15 @@ def dominate_pmc(g: Graph, pmc: Pmc) -> DominationResult:
     component, and cover N(D) with one neighbor of v on each side.  On
     long-hole-free inputs some v succeeds; otherwise an exhaustive search
     over all 3-subsets runs and is reported as the fallback it is.
+
+    No v dominates, so the part v misses holds v and a non-neighbour, and
+    find_covering_component returns a component or raises.  N(D) of any
+    component D of g - Ω is a minimal separator with D full: D is a
+    component of g - N(D).  As no component of g - Ω sees all of Ω, some x
+    in Ω lies outside N(D); let C be its component of g - N(D).  A vertex
+    s of N(D) either sees x, or s and x both border a component D' of
+    g - Ω, which avoids N(D), touches x and so lies in C.  Either way s is
+    in N(C), so C is full too.
     """
     target = pmc.set
     for v in iter_bits(target):
@@ -452,21 +460,14 @@ def dominate_pmc(g: Graph, pmc: Pmc) -> DominationResult:
             return DominationResult((v,), "single-vertex")
     for v in iter_bits(target):
         try:
-            missing = target & ~g.adj[v]
-            comp = find_covering_component(g, pmc, missing)
-            if comp is None:
-                continue
+            comp = find_covering_component(g, pmc, target & ~g.adj[v])
             sep = analyze_separator(g, pmc.neighborhoods[pmc.components.index(comp)])
-            if not sep.is_minimal:
-                continue
             d_index = sep.components.index(comp)
-            if d_index not in sep.full:
-                continue
             b_index = next(i for i in sep.full if i != d_index)
             x, y = find_separator_cover_pair(g, sep, d_index, b_index, v)
             z = (1 << v) | (1 << x) | (1 << y)
             if target & ~g.neighborhood(z, closed=True) == 0:
-                return DominationResult(tuple(sorted((v, x, y))), "lemma-chain", (v, x, y))
+                return DominationResult(tuple(sorted((v, x, y))), "lemma-chain")
         except WitnessNotFoundError:
             continue
     for size in (1, 2, 3):

@@ -236,104 +236,87 @@ def _hole_certificate(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def _mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order (ties broken by index)."""
-    visited = 0
-    score = [0] * g.n
+def _mcs_m(g: Graph) -> tuple[list[int], FillIn]:
+    """MCS-M: the numbering order and the fill of an inclusion-minimal
+    triangulation (Berry, Blair, Heggernes & Peyton, "Maximum cardinality
+    search for computing minimal triangulations of graphs", Algorithmica
+    2004).
+
+    The next vertex z is an unnumbered one of top score, ties by index.  An
+    unnumbered y of score s gets a bump iff it has a path to z whose inner
+    vertices are unnumbered with score below s; the bumped non-neighbours
+    of z are the fill.  Unnumbered vertices sit in score buckets, so z is
+    the lowest bit of the top bucket.  The step grows one reach set R_s,
+    the vertices reached from z through scores below s, bucket by bucket:
+    y of score s is bumped iff it lies in N(z) | N(R_s).  On a chordal
+    graph nothing is filled and the order is the plain MCS order, so
+    reversed it is a perfect elimination order.
+    """
+    adj = g.adj
+    buckets = [g.full_mask] + [0] * g.n  # buckets[s]: unnumbered, score s
+    top = 0
     order = []
+    fill = []
     for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not (visited >> v & 1) and (best == -1 or score[v] > score[best]):
-                best = v
-        order.append(best)
-        visited |= 1 << best
-        for u in iter_bits(g.adj[best] & ~visited):
-            score[u] += 1
-    return order
+        while not buckets[top]:
+            top -= 1
+        z = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << z
+        order.append(z)
+        seen = adj[z]  # N(z) | N(R_s)
+        reach = below = carry = 0  # R_s, the scores below s, the bumps of s - 1
+        for s in range(top + 1):
+            frontier = seen & below & ~reach
+            while frontier:
+                reach |= frontier
+                seen |= g.neighborhood(frontier)
+                frontier = seen & below & ~reach
+            level = buckets[s]
+            bumped = seen & level
+            fill.extend((min(y, z), max(y, z)) for y in iter_bits(bumped & ~adj[z]))
+            buckets[s] = level & ~bumped | carry  # the bumps of s move up after s
+            carry = bumped
+            below |= level
+        buckets[top + 1] |= carry
+        top += 1
+    return order, tuple(sorted(fill))
 
 
 def is_chordal(g: Graph) -> ChordalityResult:
-    """MCS order tested for perfect elimination; a hole certifies failure."""
-    order = _mcs_order(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    earlier = [0] * g.n  # neighbors visited before v, i.e. later in elimination
-    for v in range(g.n):
-        earlier[v] = mask_of(u for u in iter_bits(g.adj[v]) if pos[u] < pos[v])
-    for v in order:
-        if not g.is_clique(earlier[v]):
-            hole = _hole_certificate(g)
-            if hole is None:
-                raise SolverInvariantError("elimination check failed but no hole found")
-            return ChordalityResult(False, None, hole)
+    """Chordal iff MCS-M adds no fill; its order reversed is then a perfect
+    elimination order.  A hole certifies failure."""
+    order, fill = _mcs_m(g)
+    if fill:
+        hole = _hole_certificate(g)
+        if hole is None:
+            raise SolverInvariantError("MCS-M filled but no hole found")
+        return ChordalityResult(False, None, hole)
     return ChordalityResult(True, tuple(reversed(order)), None)
 
 
 def minimal_triangulation(g: Graph) -> FillIn:
-    """An inclusion-minimal fill-in F such that g+F is chordal.
+    """An inclusion-minimal fill-in F such that g+F is chordal: the fill of
+    MCS-M with index-order tie-breaking."""
+    return _mcs_m(g)[1]
 
-    MCS-M labeling search with index-order tie-breaking; its fill is
-    inclusion-minimal (Berry, Blair, Heggernes & Peyton, "Maximum
-    cardinality search for computing minimal triangulations of graphs",
-    Algorithmica 2004).
+
+def _maximal_cliques_chordal(h: Graph, order: list[int]) -> list[int]:
+    """The maximal cliques of a chordal graph from an MCS order, sorted.
+
+    v with its earlier neighbours is a maximal clique iff the next vertex
+    has no more earlier neighbours than v (Blair & Peyton, "An introduction
+    to chordal graphs and clique trees", 1993); the last vertex always
+    closes one.
     """
-    n = g.n
-    score = [0] * n
     numbered = 0
-    fill: set[tuple[int, int]] = set()
-    for _ in range(n):
-        z = -1
-        for v in range(n):
-            if not (numbered >> v & 1) and (z == -1 or score[v] > score[z]):
-                z = v
-        numbered |= 1 << z
-        bump = []
-        unnumbered = g.full_mask & ~numbered
-        for y in iter_bits(unnumbered):
-            if g.has_edge(y, z):
-                bump.append(y)
-                continue
-            # path y -> z whose internal vertices are unnumbered with score < score[y]
-            allowed = mask_of(
-                x for x in iter_bits(unnumbered & ~(1 << y)) if score[x] < score[y]
-            )
-            reach = 1 << y
-            frontier = reach
-            hit = False
-            while frontier and not hit:
-                nxt = 0
-                for x in iter_bits(frontier):
-                    nxt |= g.adj[x]
-                if nxt >> z & 1:
-                    hit = True
-                    break
-                frontier = nxt & allowed & ~reach
-                reach |= frontier
-            if hit:
-                bump.append(y)
-                fill.add((min(y, z), max(y, z)))
-        for y in bump:
-            score[y] += 1
-    return tuple(sorted(fill))
-
-
-def _maximal_cliques_chordal(h: Graph, elimination_order: tuple[int, ...]) -> list[int]:
-    pos = [0] * h.n
-    for i, v in enumerate(elimination_order):
-        pos[v] = i
     candidates = []
-    for v in range(h.n):
-        later = mask_of(u for u in iter_bits(h.adj[v]) if pos[u] > pos[v])
-        candidates.append(later | (1 << v))
-    candidates.sort(key=lambda m: -m.bit_count())
-    cliques: list[int] = []
-    for c in candidates:
-        if not any(c & ~k == 0 for k in cliques):
-            cliques.append(c)
-    cliques.sort(key=to_tuple)
-    return cliques
+    for v in order:
+        candidates.append(h.adj[v] & numbered | 1 << v)
+        numbered |= 1 << v
+    return sorted(
+        (c for c, nxt in zip(candidates, candidates[1:] + [0]) if nxt.bit_count() <= c.bit_count()),
+        key=to_tuple,
+    )
 
 
 class _UnionFind:
@@ -364,10 +347,10 @@ def clique_tree(g: Graph, fill: FillIn = ()) -> TreeDecomposition:
     The empty graph gets the single empty bag.
     """
     h = g.with_edges(fill) if fill else g
-    res = is_chordal(h)
-    if not res.chordal:
+    order, extra = _mcs_m(h)
+    if extra:
         raise PreconditionError("graph plus fill-in is not chordal")
-    bags = _maximal_cliques_chordal(h, res.elimination_order) or [0]
+    bags = _maximal_cliques_chordal(h, order) or [0]
     pairs = sorted(
         (-(bags[i] & bags[j]).bit_count(), i, j)
         for i in range(len(bags))

@@ -15,18 +15,11 @@ each is flooded once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .bits import iter_bits, to_tuple
 from .errors import CapacityExceededError, SolverInvariantError
 from .graph import Graph
-
-
-def oracle_limit(default: int) -> int:
-    """Size limit for brute-force oracles; HOLEFREE_ORACLE_LIMIT overrides."""
-    env = os.environ.get("HOLEFREE_ORACLE_LIMIT")
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)

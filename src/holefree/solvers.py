@@ -29,6 +29,7 @@ from .engine import (
     brute_force_mwis,
     check_independent_witness,
     decode,
+    int_weights,
     perturbed_weights,
     solve_mwis,
 )
@@ -59,7 +60,12 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
     """
     if g.n == 0 or not g.is_connected():
         raise PreconditionError("balanced_separator needs a connected nonempty graph")
-    total = g.total_weight()
+    scale, w = int_weights(g)  # every side is weighed in ints
+
+    def weight_of(sub: int) -> int:
+        return sum(w[v] for v in iter_bits(sub))
+
+    total = sum(w)
     if total <= 0:
         raise PreconditionError("total weight must be positive")
 
@@ -74,7 +80,7 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
     outdeg = [0] * len(tree.bags)
     for x, parent in walk[1:]:
         rest = g.full_mask & ~below[x] | tree.bags[x] & tree.bags[parent]
-        if g.weight_of(below[x]) > g.weight_of(rest):
+        if weight_of(below[x]) > weight_of(rest):
             outdeg[parent] += 1
         else:  # ties point toward node 0's side
             outdeg[x] += 1
@@ -94,15 +100,10 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
         separator = bag
         degraded = True
 
-    half = Fraction(total, 2)
-    max_comp = Fraction(0)
-    for comp in g.components(g.full_mask & ~separator):
-        w = g.weight_of(comp)
-        if w > max_comp:
-            max_comp = w
-    if max_comp > half:
+    max_comp = max(map(weight_of, g.components(g.full_mask & ~separator)), default=0)
+    if 2 * max_comp > total:
         raise SolverInvariantError("chosen bag is not a balanced separator")
-    return BalancedSeparatorResult(bag, z, separator, max_comp, degraded)
+    return BalancedSeparatorResult(bag, z, separator, Fraction(max_comp, scale), degraded)
 
 
 def build_tree_decomposition(g: Graph) -> TreeDecomposition:
@@ -124,7 +125,7 @@ def build_tree_decomposition(g: Graph) -> TreeDecomposition:
             bags.append(boundary | part)
             return len(bags) - 1
         sub, vmap = g.induced(part)
-        res = balanced_separator(sub.with_weights([1] * sub.n))
+        res = balanced_separator(Graph.from_rows(sub.adj, (Fraction(1),) * sub.n))
         sep = mask_of(vmap[v] for v in iter_bits(res.separator))
         node = len(bags)
         bags.append(boundary | sep)

@@ -16,7 +16,7 @@ from itertools import combinations
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import OracleLimitError, PreconditionError, WitnessNotFoundError
 from holefree.graph import Graph
-from holefree.separators import Separator, analyze_separator, oracle_limit
+from holefree.separators import Separator, analyze_separator
 
 
 # -- named fixtures -----------------------------------------------------------
@@ -90,9 +90,8 @@ def _is_minimal_separator(g: Graph, sep: int) -> bool:
     return sum(nb == sep for _, nb in g.flood(g.full_mask & ~sep)) >= 2
 
 
-def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[Separator]:
+def brute_force_minimal_separators(g: Graph, limit: int = 14) -> list[Separator]:
     """Scan all vertex subsets for two or more full components."""
-    limit = oracle_limit(14) if limit is None else limit
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
     out = []
@@ -103,12 +102,11 @@ def brute_force_minimal_separators(g: Graph, limit: int | None = None) -> list[S
     return out
 
 
-def brute_force_pmcs(g: Graph) -> list:
+def brute_force_pmcs(g: Graph, limit: int = 14) -> list:
     """The certified PMCs of g by testing every nonempty vertex subset,
     canonically sorted."""
     from holefree.pmc import is_pmc
 
-    limit = oracle_limit(14)
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
     out = [p for cand in range(1, 1 << g.n) if (p := is_pmc(g, cand)) is not None]
@@ -483,3 +481,113 @@ def _lex_first(a: int, b: int) -> bool:
     other: the smallest vertex in exactly one of them is in a."""
     diff = a ^ b
     return bool(diff & -diff & a)
+
+
+# -- reference chordality -----------------------------------------------------
+
+def reference_mcs_order(g: Graph) -> list[int]:
+    """Maximum cardinality search visit order (ties broken by index), by a
+    scan over all vertices at every step."""
+    visited = 0
+    score = [0] * g.n
+    order = []
+    for _ in range(g.n):
+        best = -1
+        for v in range(g.n):
+            if not (visited >> v & 1) and (best == -1 or score[v] > score[best]):
+                best = v
+        order.append(best)
+        visited |= 1 << best
+        for u in iter_bits(g.adj[best] & ~visited):
+            score[u] += 1
+    return order
+
+
+def reference_is_chordal(g: Graph):
+    """``recognition.is_chordal`` by testing the MCS order for perfect
+    elimination, with the library's hole certificate on failure."""
+    from holefree.recognition import ChordalityResult, _hole_certificate
+
+    order = reference_mcs_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        if not g.is_clique(mask_of(u for u in iter_bits(g.adj[v]) if pos[u] < pos[v])):
+            return ChordalityResult(False, None, _hole_certificate(g))
+    return ChordalityResult(True, tuple(reversed(order)), None)
+
+
+def reference_minimal_triangulation(g: Graph) -> tuple[tuple[int, int], ...]:
+    """MCS-M with a fresh path search for every unnumbered vertex at every
+    step: y is bumped iff it sees z or reaches z through unnumbered
+    vertices of lower score, and a bumped non-neighbour of z is filled."""
+    n = g.n
+    score = [0] * n
+    numbered = 0
+    fill: set[tuple[int, int]] = set()
+    for _ in range(n):
+        z = -1
+        for v in range(n):
+            if not (numbered >> v & 1) and (z == -1 or score[v] > score[z]):
+                z = v
+        numbered |= 1 << z
+        bump = []
+        unnumbered = g.full_mask & ~numbered
+        for y in iter_bits(unnumbered):
+            if g.has_edge(y, z):
+                bump.append(y)
+                continue
+            allowed = mask_of(
+                x for x in iter_bits(unnumbered & ~(1 << y)) if score[x] < score[y]
+            )
+            reach = frontier = 1 << y
+            while frontier:
+                nxt = 0
+                for x in iter_bits(frontier):
+                    nxt |= g.adj[x]
+                if nxt >> z & 1:
+                    bump.append(y)
+                    fill.add((min(y, z), max(y, z)))
+                    break
+                frontier = nxt & allowed & ~reach
+                reach |= frontier
+        for y in bump:
+            score[y] += 1
+    return tuple(sorted(fill))
+
+
+def reference_clique_tree(g: Graph, fill=()) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Bags and edges of ``recognition.clique_tree``: every vertex with its
+    later neighbours along the reference elimination order, kept unless a
+    larger candidate contains it, then Kruskal on the canonically sorted
+    bag pairs by descending overlap."""
+    h = g.with_edges(fill)
+    order = reference_is_chordal(h).elimination_order
+    assert order is not None, "graph plus fill-in is not chordal"
+    pos = {v: i for i, v in enumerate(order)}
+    candidates = sorted(
+        (mask_of(u for u in iter_bits(h.adj[v]) if pos[u] > pos[v]) | 1 << v for v in range(h.n)),
+        key=lambda m: -m.bit_count(),
+    )
+    bags: list[int] = []
+    for c in candidates:
+        if not any(c & ~k == 0 for k in bags):
+            bags.append(c)
+    bags = sorted(bags, key=to_tuple) or [0]
+    root = list(range(len(bags)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = []
+    for _, i, j in sorted(
+        (-(a & b).bit_count(), i, j)
+        for i, a in enumerate(bags)
+        for j, b in enumerate(bags)
+        if i < j
+    ):
+        if find(i) != find(j):
+            root[find(j)] = find(i)
+            edges.append((i, j))
+    return tuple(bags), tuple(edges)

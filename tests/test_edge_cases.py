@@ -1,4 +1,4 @@
-"""Degenerate inputs and environment overrides."""
+"""Degenerate inputs and oracle size limits."""
 
 import random
 
@@ -27,10 +27,9 @@ def test_single_vertex():
     assert solve_subexp2(g).weight == 7
 
 
-def test_brute_env_override(monkeypatch):
+def test_brute_limit_override():
     g = er_graph(22, 0.5, random.Random(9))
-    monkeypatch.setenv("HOLEFREE_ORACLE_LIMIT", "22")
-    res = brute_force_mwis(g)
+    res = brute_force_mwis(g, limit=22)
     assert g.is_independent(res.mask)
 
 

@@ -35,7 +35,10 @@ from oracles import (
     has_induced_cycle,
     minimal_fillins,
     prism_exists_bruteforce,
+    reference_clique_tree,
     reference_grow_lhf,
+    reference_is_chordal,
+    reference_minimal_triangulation,
 )
 
 
@@ -293,6 +296,35 @@ def test_triangulations_and_pmcs_against_networkx_completion():
     for n in (50, 75, 100):
         base = random_chordal(n, 2 * n, rng)
         assert _assert_triangulations_against_networkx(nx, grow_lhf(base, n // 5, rng))
+
+
+# -- one MCS-M search against the reference searches ---------------------------
+
+def _assert_mcs_m_matches_reference(g):
+    fill = minimal_triangulation(g)
+    assert fill == reference_minimal_triangulation(g), g.adj
+    assert is_chordal(g) == reference_is_chordal(g), g.adj
+    t = clique_tree(g, fill)
+    assert (t.bags, t.edges) == reference_clique_tree(g, fill), g.adj
+    return not fill
+
+
+def test_mcs_m_matches_reference_on_small_graphs(random_corpus_12):
+    rng = random.Random(40)
+    er = [er_graph(rng.randint(1, 30), 0.02 + 0.9 * (i % 10) / 9, rng) for i in range(300)]
+    prisms = [prism_graph(k) for k in range(1, 11)]
+    cycles = [cycle_graph(k) for k in range(3, 13)]
+    corpus = [*random_corpus_12, *er, Graph(0), *prisms, *cycles]
+    chordal = sum(_assert_mcs_m_matches_reference(g) for g in corpus)
+    assert 100 < chordal < 400
+
+
+def test_mcs_m_matches_reference_on_chordal_and_lhf_graphs():
+    for n in (10, 25, 50, 100, 200):
+        assert _assert_mcs_m_matches_reference(random_chordal(n, 2 * n, random.Random(n)))
+    for n in (50, 100):
+        rng = random.Random(n)
+        _assert_mcs_m_matches_reference(grow_lhf(random_chordal(n, 2 * n, rng), n // 5, rng))
 
 
 # -- clique trees -------------------------------------------------------------

@@ -211,10 +211,9 @@ def test_oracle_limit():
         brute_force_minimal_separators(er_graph(15, 0.4, random.Random(0)), limit=14)
 
 
-def test_oracle_limit_env_override(monkeypatch):
+def test_oracle_limit_override():
     g = er_graph(15, 0.2, random.Random(1))
-    monkeypatch.setenv("HOLEFREE_ORACLE_LIMIT", "15")
-    brute_force_minimal_separators(g)
+    assert brute_force_minimal_separators(g, limit=15)
 
 
 def test_separator_count_bound_when_prisms_small(lhf_corpus_14):
