@@ -9,14 +9,14 @@ PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S of G',
 or S | (T & C) for a minimal separator S of G' that avoids a and is new in
 G', a minimal separator T of G and a full component C of S in G'.  Every
 candidate is certified by the test above.  The sweep carries its state from
-G to G': the certificate of Ω gives the components of G' - Ω and of
-G' - (Ω + a) without a flood, a minimal separator S of G gives those of
-G' - (S + a) in the same way, and the minimal separators of G' are those of
-G lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
-component, generated as by Kloks & Kratsch ("Listing all minimal separators
-of a graph", SIAM J. Comput. 1998).  Only S | (T & C), and S + a for a new
-S, need a flood, and S | (T & C) only once a test on adjacency rows has
-not ruled it out.
+G to G': a certificate and a separator record both hold the components of
+G minus their set with the neighborhoods, so Ω's gives those of G' - Ω,
+and Ω's or S's those of G' - (Ω + a) or G' - (S + a), without a flood; the
+minimal separators of G' are those of G lifted (S, or S + a) plus the
+minimal a,b-separators that keep a in a full component, generated as by
+Kloks & Kratsch ("Listing all minimal separators of a graph", SIAM J.
+Comput. 1998).  Only S | (T & C), and S + a for a new S, need a flood, and
+S | (T & C) only once a test on adjacency rows has not ruled it out.
 
 The sweep runs once per atom of the clique minimal separator
 decomposition (Tarjan, "Decomposition by clique separators", Discrete
@@ -45,6 +45,7 @@ from .graph import Graph
 from .separators import (
     Separator,
     absorb_last_vertex,
+    add_last_vertex,
     analyze_separator,
     enumerate_minimal_separators,
     extend_minimal_separators,
@@ -56,21 +57,14 @@ class Pmc:
     """A certified potential maximal clique.
 
     ``components`` are the components of g - set in canonical order and
-    ``neighborhoods`` their neighborhoods, in the same order.  Every
-    internal nonedge lies inside one of those neighborhoods.
+    ``neighborhoods`` their neighborhoods, in the same order, as in a
+    :class:`~holefree.separators.Separator`.  Every internal nonedge lies
+    inside one of those neighborhoods.
     """
 
     set: int
     components: tuple[int, ...]
     neighborhoods: tuple[int, ...]
-
-    def cover_of(self, x: int, y: int) -> int:
-        """Index of the first component whose neighborhood holds x and y."""
-        need = (1 << x) | (1 << y)
-        for idx, nb in enumerate(self.neighborhoods):
-            if nb & need == need:
-                return idx
-        raise KeyError((min(x, y), max(x, y)))
 
 
 @dataclass(frozen=True)
@@ -120,46 +114,23 @@ def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
     vertex a; None if neither is a PMC of g.
 
     No flood: the components of g - Ω follow from Ω's certificate by
-    :func:`absorb_last_vertex`, and those of g - (Ω + a) are the old ones,
-    with a added to the neighborhoods of those that meet N(a).
+    :func:`absorb_last_vertex`, and Ω + a is :func:`lift_separator`'s.
     """
-    comps, nbrs, _ = absorb_last_vertex(g, pmc.components, pmc.neighborhoods)
-    kept = _check_pmc(g, pmc.set, comps, nbrs)
-    if kept is None:
-        bit = 1 << (g.n - 1)
-        adj_a = g.adj[-1]
-        comps = pmc.components
-        nbrs = tuple(nb | bit if c & adj_a else nb for c, nb in zip(comps, pmc.neighborhoods))
-        kept = _check_pmc(g, pmc.set | bit, comps, nbrs)
-    return kept
+    kept = _check_pmc(g, pmc.set, *absorb_last_vertex(g, pmc.components, pmc.neighborhoods))
+    return kept if kept is not None else lift_separator(g, pmc)
 
 
-def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
-    """Certificate in g of S + a, for a minimal separator S of g minus its
-    last vertex a, given with its components there; None if S + a is not a
-    PMC of g.
+def lift_separator(g: Graph, rec: Separator | Pmc) -> Pmc | None:
+    """Certificate in g of X + a, for a record X of g minus its last vertex
+    a (a minimal separator or a PMC there); None if X + a is not a PMC of g.
 
-    No flood: the components of g - (S + a) are those of (g - a) - S, in
-    the same order, and each one's neighborhood gains a exactly when it
-    meets N(a).  So a full one that meets N(a) sees all of S + a, which
-    fails at once.  Otherwise a full one covers the nonedges inside S, and
-    S + a is a PMC iff each vertex of S - N(a) lies in N(C) for some
-    component C that meets N(a); only those neighborhoods are needed to
-    reject.  An accepted S + a passes the same check as every candidate,
-    with S as the neighborhood of each full component.
+    No flood: the components of g - (X + a) are those of (g - a) - X, in
+    the same order, with the neighborhoods of :func:`add_last_vertex`.  A
+    full component of a separator S that meets N(a) sees all of S + a, so
+    :func:`_check_pmc` rejects it at once.
     """
-    adj_a = g.adj[-1]
-    comps = sep.components
-    if any(comps[j] & adj_a for j in sep.full):
-        return None
-    seen = 0
-    for c in comps:
-        if c & adj_a:
-            seen |= g.neighborhood(c)
-    if sep.set & ~adj_a & ~seen:
-        return None
-    nbrs = tuple(sep.set if j in sep.full else g.neighborhood(c) for j, c in enumerate(comps))
-    return _check_pmc(g, sep.set | 1 << (g.n - 1), comps, nbrs)
+    nbrs = add_last_vertex(g, rec.components, rec.neighborhoods)
+    return _check_pmc(g, rec.set | 1 << (g.n - 1), rec.components, nbrs)
 
 
 def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
@@ -340,10 +311,9 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
             old = prev_seps.get(s.set)
             if old is None:
                 candidates.add(s.set | a)
-                for idx in s.full:
-                    comp = s.components[idx]
-                    if comp & a:
-                        continue  # C_a, see the docstring
+                for comp, nb in zip(s.components, s.neighborhoods):
+                    if nb != s.set or comp & a:
+                        continue  # not full, or C_a (see the docstring)
                     for x in {t & comp for t in prev_seps}:
                         cand = s.set | x
                         if x and cand not in candidates and cand not in tested:
@@ -379,22 +349,19 @@ def block_family(g: Graph, minseps: list[Separator]) -> list[tuple[int, int]]:
     PMC belongs to this family, which is what the dynamic program needs.
     A block is listed once, as D fixes S = N(D).
     """
-    return [(sep.components[j], sep.set) for sep in minseps for j in sep.full]
+    return [
+        (c, nb) for sep in minseps for c, nb in zip(sep.components, sep.neighborhoods) if nb == sep.set
+    ]
 
 
-def find_covering_component(g: Graph, pmc: Pmc, member_set: int) -> int | None:
-    """A component of g - pmc whose neighborhood contains ``member_set``.
-
-    Returns None in the degenerate single-vertex case where the PMC already
-    sits inside that vertex's closed neighborhood.  Components are scanned
-    in canonical order, so the choice is deterministic.
+def find_covering_component(g: Graph, pmc: Pmc, member_set: int) -> int:
+    """A component of g - pmc whose neighborhood contains ``member_set``,
+    two or more vertices of the PMC (:func:`dominate_pmc` passes a member v
+    and its non-neighbours).  Components are scanned in canonical order,
+    so the choice is deterministic.
     """
     if member_set & ~pmc.set:
         raise PreconditionError("member set must lie inside the PMC")
-    if member_set.bit_count() == 1:
-        v = member_set.bit_length() - 1
-        if pmc.set & ~(g.adj[v] | member_set) == 0:
-            return None
     for comp, nb in zip(pmc.components, pmc.neighborhoods):
         if member_set & ~nb == 0:
             return comp

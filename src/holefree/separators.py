@@ -1,16 +1,19 @@
 """Minimal-separator machinery.
 
-Full-component analysis, the complete close-neighborhood enumeration and
-its one-more-vertex update.
+Separator records, the complete close-neighborhood enumeration and its
+one-more-vertex update.
 
-Both enumerations generate every candidate as N(C) for a component C that
-a flood has just returned.  Such a C is connected with N(C) the candidate
-itself, so it is a component of g minus the candidate, and a full one;
-its record floods only the rest of the graph.  The complete enumeration
-is a closure on bare sets that maps each N(C) to its C; it builds the
-records only once the closure is complete, so a cap trip builds none.
-A region of either closure depends only on a set, and many come back;
-each is flooded once.
+A record holds the components of g minus its set and their
+neighborhoods, the same fields as a PMC certificate; the full components
+are those whose neighborhood is the whole set.  Both enumerations
+generate every candidate as N(C) for a component C that a flood has just
+returned.  Such a C is connected with N(C) the candidate itself, so it
+is a component of g minus the candidate, and a full one; its record
+floods only the rest of the graph.  The complete enumeration is a
+closure on bare sets that maps each N(C) to its C; it builds the records
+only once the closure is complete, so a cap trip builds none.  A region
+of either closure depends only on a set, and many come back; each is
+flooded once.
 """
 
 from __future__ import annotations
@@ -24,25 +27,27 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class Separator:
-    """A vertex set with the component decomposition of the rest of the graph."""
+    """A vertex set with the components of the rest of the graph, in
+    canonical order, and their neighborhoods, in the same order."""
 
     set: int
     components: tuple[int, ...]
-    full: tuple[int, ...]  # indices of components whose neighborhood is the whole set
+    neighborhoods: tuple[int, ...]
+
+    @property
+    def full(self) -> tuple[int, ...]:
+        """Indices of the components whose neighborhood is the whole set."""
+        return tuple(i for i, nb in enumerate(self.neighborhoods) if nb == self.set)
 
     @property
     def is_minimal(self) -> bool:
-        return len(self.full) >= 2
+        return self.neighborhoods.count(self.set) >= 2
 
 
 def analyze_separator(g: Graph, sep: int) -> Separator:
-    """Decompose g minus sep into components and mark the full ones."""
-    return _separator(sep, g.flood(g.full_mask & ~sep))
-
-
-def _separator(sep: int, pairs: list[tuple[int, int]]) -> Separator:
-    full = tuple(i for i, (_, nb) in enumerate(pairs) if nb == sep)
-    return Separator(sep, tuple(c for c, _ in pairs), full)
+    """Decompose g minus sep into components and their neighborhoods."""
+    pairs = g.flood(g.full_mask & ~sep)
+    return Separator(sep, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
 
 def _separator_of_component(g: Graph, comp: int, sep: int) -> Separator:
@@ -55,7 +60,7 @@ def _separator_of_component(g: Graph, comp: int, sep: int) -> Separator:
     pairs = g.flood(g.full_mask & ~(sep | comp))
     below = (comp & -comp) - 1
     pairs.insert(sum(1 for c, _ in pairs if c & below), (comp, sep))
-    return _separator(sep, pairs)
+    return Separator(sep, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
 
 def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
@@ -125,10 +130,10 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
 
 def absorb_last_vertex(
     g: Graph, comps: tuple[int, ...], nbrs: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Components of g - X with their neighborhoods, from those of
     (g - a) - X in canonical order, where a is the last vertex of g and X
-    avoids a; also the index of a's component.
+    avoids a.
 
     The components that meet N(a) merge with a into one, placed where the
     first of them was (last if there is none, as a is the largest vertex);
@@ -158,7 +163,19 @@ def absorb_last_vertex(
         out_n.append(0)
     out_c[at] = merged
     out_n[at] = merged_nb & ~merged
-    return tuple(out_c), tuple(out_n), at
+    return tuple(out_c), tuple(out_n)
+
+
+def add_last_vertex(g: Graph, comps: tuple[int, ...], nbrs: tuple[int, ...]) -> tuple[int, ...]:
+    """Neighborhoods of the components of g - (X + a), from those of
+    (g - a) - X, where a is the last vertex of g and X avoids a.
+
+    The components are the same, in the same order, and each one's
+    neighborhood gains a exactly when it meets N(a).
+    """
+    bit = 1 << (g.n - 1)
+    adj_a = g.adj[-1]
+    return tuple(nb | bit if c & adj_a else nb for c, nb in zip(comps, nbrs))
 
 
 def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> list[Separator]:
@@ -168,8 +185,8 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
 
     Each S in ``prev`` gives S if it is still minimal in g, and S + a if
     two or more of its old full components meet N(a); both can hold.  The
-    old components of S are those of g - (S + a), and those of g - S follow
-    from them by :func:`absorb_last_vertex`, so neither needs a flood.
+    records of both follow from that of S in g - a, by
+    :func:`absorb_last_vertex` and :func:`add_last_vertex`, without a flood.
     The rest avoid a and have a in a full component: they are the minimal
     a,b-separators over all b, listed as by Kloks & Kratsch ("Listing all
     minimal separators of a graph", SIAM J. Comput. 1998).  The seeds are
@@ -193,21 +210,13 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
             raise CapacityExceededError("minimal separators", cap, len(found))
 
     for old in prev:
-        s = old.set
-        # stand-in neighborhoods, S for the full components and 0 for the
-        # rest, decide fullness exactly except for a's component when it
-        # merged no full one; that one alone needs its real N(C)
-        stand_in = tuple(s if j in old.full else 0 for j in range(len(old.components)))
-        comps, nbrs, at = absorb_last_vertex(g, old.components, stand_in)
-        full = tuple(
-            j for j, nb in enumerate(nbrs)
-            if nb == s or (j == at and g.neighborhood(comps[j]) == s)
-        )
-        if len(full) >= 2:
-            add(Separator(s, comps, full))
-        full = tuple(j for j in old.full if old.components[j] & adj_a)
-        if len(full) >= 2:
-            add(Separator(s | bit, old.components, full))
+        comps, nbrs = old.components, old.neighborhoods
+        for sep in (
+            Separator(old.set, *absorb_last_vertex(g, comps, nbrs)),
+            Separator(old.set | bit, comps, add_last_vertex(g, comps, nbrs)),
+        ):
+            if sep.is_minimal:
+                add(sep)
 
     seen: set[int] = set()
     stack: list[Separator] = []
@@ -218,9 +227,8 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
         yield g.full_mask & ~(adj_a | bit)
         while stack:
             sep = stack.pop()
-            for j in sep.full:
-                comp = sep.components[j]
-                if not comp & bit:
+            for comp, nb in zip(sep.components, sep.neighborhoods):
+                if nb == sep.set and not comp & bit:
                     for x in iter_bits(sep.set):
                         yield comp & ~g.adj[x]
 

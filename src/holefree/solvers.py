@@ -70,23 +70,22 @@ def balanced_separator(g: Graph) -> BalancedSeparatorResult:
         raise PreconditionError("total weight must be positive")
 
     tree = clique_tree(g, minimal_triangulation(g))
-    walk = tree.walk()
-    # below[x]: union of the bags in x's subtree; by running intersection
-    # the rest of the tree covers V - below[x] plus bags[x] & bags[parent]
-    below = list(tree.bags)
-    for x, parent in reversed(walk):
-        if parent >= 0:
-            below[parent] |= below[x]
-    outdeg = [0] * len(tree.bags)
-    for x, parent in walk[1:]:
-        rest = g.full_mask & ~below[x] | tree.bags[x] & tree.bags[parent]
-        if weight_of(below[x]) > weight_of(rest):
+    bags = tree.bags
+    # below[x]: weight of the union of the bags in x's subtree.  By running
+    # intersection a child's union meets the rest only in its bag & bags[x],
+    # and the rest of the tree weighs total - below[x] plus the weight of
+    # bags[x] & bags[parent]; a post-order pass finishes below[x] first
+    below = [weight_of(bag) for bag in bags]
+    outdeg = [0] * len(bags)
+    for x, parent in reversed(tree.walk()[1:]):
+        shared = weight_of(bags[x] & bags[parent])
+        below[parent] += below[x] - shared
+        if below[x] > total - below[x] + shared:
             outdeg[parent] += 1
         else:  # ties point toward node 0's side
             outdeg[x] += 1
 
-    t = outdeg.index(0)
-    bag = tree.bags[t]
+    bag = bags[outdeg.index(0)]
     pmc = is_pmc(g, bag)
     if pmc is None:
         raise SolverInvariantError("clique tree bag failed the PMC test")

@@ -113,6 +113,16 @@ def brute_force_pmcs(g: Graph, limit: int = 14) -> list:
     return sorted(out, key=lambda p: to_tuple(p.set))
 
 
+def cover_of(pmc, x: int, y: int) -> int:
+    """Index of the first component of a PMC certificate whose
+    neighborhood holds x and y."""
+    need = (1 << x) | (1 << y)
+    for idx, nb in enumerate(pmc.neighborhoods):
+        if nb & need == need:
+            return idx
+    raise KeyError((min(x, y), max(x, y)))
+
+
 def excess_full(sep: Separator) -> int:
     """Number of full components beyond the first; positive iff minimal."""
     return max(0, len(sep.full) - 1)
@@ -591,3 +601,43 @@ def reference_clique_tree(g: Graph, fill=()) -> tuple[tuple[int, ...], tuple[tup
             root[find(j)] = find(i)
             edges.append((i, j))
     return tuple(bags), tuple(edges)
+
+
+def reference_balanced_separator(g: Graph):
+    """``solvers.balanced_separator`` with its earlier side sums: the union
+    of the bags below each tree edge and of the rest are built as masks
+    and weighed vertex by vertex."""
+    from holefree.engine import int_weights
+    from holefree.errors import NoDominationError
+    from holefree.pmc import dominate_pmc, is_pmc
+    from holefree.recognition import clique_tree, minimal_triangulation
+    from holefree.solvers import BalancedSeparatorResult
+
+    scale, w = int_weights(g)
+
+    def weight_of(sub: int) -> int:
+        return sum(w[v] for v in iter_bits(sub))
+
+    total = sum(w)
+    tree = clique_tree(g, minimal_triangulation(g))
+    walk = tree.walk()
+    below = list(tree.bags)
+    for x, parent in reversed(walk):
+        if parent >= 0:
+            below[parent] |= below[x]
+    outdeg = [0] * len(tree.bags)
+    for x, parent in walk[1:]:
+        rest = g.full_mask & ~below[x] | tree.bags[x] & tree.bags[parent]
+        if weight_of(below[x]) > weight_of(rest):
+            outdeg[parent] += 1
+        else:
+            outdeg[x] += 1
+    bag = tree.bags[outdeg.index(0)]
+    try:
+        z = dominate_pmc(g, is_pmc(g, bag)).z
+        separator, degraded = g.neighborhood(mask_of(z), closed=True), False
+    except NoDominationError:
+        z, separator, degraded = (), bag, True
+    max_comp = max(map(weight_of, g.components(g.full_mask & ~separator)), default=0)
+    assert 2 * max_comp <= total
+    return BalancedSeparatorResult(bag, z, separator, Fraction(max_comp, scale), degraded)

@@ -231,10 +231,12 @@ def test_criterion_8_lemma_suite(lhf_corpus_10):
             members = to_tuple(p.set)
             for v in iter_bits(p.set):
                 missing = p.set & ~g.adj[v]
+                if missing == 1 << v:
+                    continue  # v dominates the PMC; dominate_pmc never asks
                 checks += 1
                 try:
                     comp = find_covering_component(g, p, missing)
-                    if comp is not None and missing & ~g.neighborhood(comp):
+                    if missing & ~g.neighborhood(comp):
                         failures += 1
                 except Exception:
                     failures += 1
@@ -245,7 +247,7 @@ def test_criterion_8_lemma_suite(lhf_corpus_10):
                         continue
                     checks += 1
                     try:
-                        if find_covering_component(g, p, m) is None:
+                        if m & ~g.neighborhood(find_covering_component(g, p, m)):
                             failures += 1
                     except Exception:
                         failures += 1

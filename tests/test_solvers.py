@@ -21,6 +21,7 @@ from holefree.families import (
     path_graph,
     prism_graph,
     random_chordal,
+    WEIGHT_STYLES,
     random_weights,
     star_graph,
 )
@@ -38,7 +39,7 @@ from holefree.solvers import (
     solve_treewidth_dp,
 )
 
-from oracles import exhaustive_mwc
+from oracles import exhaustive_mwc, reference_balanced_separator
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -142,6 +143,29 @@ def test_balanced_separator_properties(lhf_corpus_12):
             half = h.total_weight() / 2
             for comp in h.components(h.full_mask & ~res.separator):
                 assert h.weight_of(comp) <= half
+
+
+def test_balanced_separator_matches_the_bitwise_side_sums():
+    # the one-pass side weights pick the bag, z, separator and component
+    # weight that weighing both sides of each tree edge vertex by vertex did
+    rng = random.Random(1515)
+    corpus = []
+    while len(corpus) < 60:
+        g = er_graph(rng.randint(2, 30), rng.uniform(0.1, 0.6), rng)
+        if g.is_connected():
+            corpus.append(g)
+    corpus = [random_weights(g, rng, style) for g in corpus for style in WEIGHT_STYLES]
+    for n in (100, 300):
+        base = random_chordal(n, 2 * n, random.Random(n))
+        corpus.append(random_weights(base, rng, "int"))
+        corpus.append(random_weights(grow_lhf(base, n, random.Random(n), forbid_prism=3), rng, "decimal"))
+    checked = 0
+    for g in corpus:
+        if g.total_weight() == 0:
+            continue
+        assert balanced_separator(g) == reference_balanced_separator(g), g.adj
+        checked += 1
+    assert checked > 250
 
 
 # -- tree decompositions ------------------------------------------------------
