@@ -27,3 +27,18 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
+
+
+_SWAP = str.maketrans("01", "10")
+
+
+def canonical_key(mask: int) -> str:
+    """A sort key that orders vertex sets exactly as :func:`to_tuple`.
+
+    Character i is "0" when vertex i is in the set and "1" when it is not,
+    up to the largest vertex, and the empty set gets "".  At the first
+    vertex where two sets differ, the set that holds it comes first, unless
+    the other has ended: then the other's string is a prefix of this one,
+    and the shorter string sorts first, as the shorter tuple does.
+    """
+    return bin(mask)[:1:-1].translate(_SWAP) if mask else ""

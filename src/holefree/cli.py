@@ -12,6 +12,7 @@ shape: {version, command, input, result, verdicts, analysis, stats}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -239,7 +240,10 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="holefree",
         description="Exact maximum weight independent set solving on "

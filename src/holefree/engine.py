@@ -11,10 +11,12 @@ smaller child blocks, the components of g - cap inside D.
 
 Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
 Comput. 2001): Ω is a cap of (S, D) exactly when a component C of g - Ω
-has N(C) = S and D meets Ω.  The whole graph is the top block (∅, V),
-whose caps are all PMCs.  The table holds plain ints: the perturbed
-weights of :func:`perturbed_weights`, whose one maximum spells both the
-optimum and the canonical witness, read off once by :func:`decode`.
+has N(C) = S and D meets Ω.  The DP is rooted at vertex 0: the whole
+graph is the top block (∅, V), whose caps are the PMCs that hold 0, and
+only the blocks whose D avoids 0 lie below them.  The table holds plain
+ints: the perturbed weights of :func:`perturbed_weights`, whose one
+maximum spells both the optimum and the canonical witness, read off once
+by :func:`decode`.
 
 Every returned result re-checks its own witness: the set must be
 independent and its weight must equal the reported optimum.
@@ -148,32 +150,44 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveR
     """Exact MWIS on a connected graph from its complete PMC family.
 
     ``blocks`` is the block family as (D, N(D)) pairs; cap indexing is
-    derived here.  The children of a block D under a cap Ω are the
-    components of g - Ω inside D, strictly smaller than D, so a stable
-    sort by size alone orders the tables.  The whole graph is the top
-    block (∅, V), whose caps are all PMCs and whose single entry is the
-    answer.  The table holds sums of :func:`perturbed_weights`, so each
-    entry is the one maximum of its choices, whatever the order among
-    blocks of one size, and the answer decodes to the canonical witness.
+    derived here.  The DP is rooted at vertex 0: it keeps only the blocks
+    with 0 not in D, and the top block (∅, V) takes as caps only the PMCs
+    that hold 0.  Its single entry is the answer.  That is exact.  The
+    optimum stays independent in some minimal triangulation H of g, which
+    the one-trace-vertex table already rests on, and the DP reaches it from
+    any maximal clique of H as the top cap, a PMC of g: take one that holds
+    0.  Every block below that cap Ω lies in a component of g - Ω, as each
+    child lies in its parent, so none holds 0.  (Rooting a clique tree of H
+    at Ω, running intersection says the same.)  The kept blocks are closed
+    under taking children for the same reason.
+
+    The children of a block D under a cap Ω are the components of g - Ω
+    inside D, strictly smaller than D, so a stable sort by size alone
+    orders the tables.  The table holds sums of :func:`perturbed_weights`,
+    so each entry is the one maximum of its choices, whatever the order
+    among blocks of one size, and the answer decodes to the canonical
+    witness.  ``stats.table_entries`` counts the entries of the kept
+    blocks' tables.
     """
     if not g.is_connected():
         raise PreconditionError("solve_bt needs a connected graph")
     t0 = time.perf_counter()
 
-    ordered = sorted(blocks, key=lambda b: b[0].bit_count())
+    ordered = sorted((b for b in blocks if not b[0] & 1), key=lambda b: b[0].bit_count())
     blocks_ = [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
     by_mask = {b.d: b.id for b in blocks_}
     caps = index_caps(g, pmcs, blocks_)
     scale, w = perturbed_weights(g)
 
-    if any(comp not in by_mask for p in pmcs for comp in p.components):
+    if any(comp not in by_mask for p in pmcs for comp in p.components if not comp & 1):
         raise SolverInvariantError("block family misses a component of g - PMC")
 
     # tables[block id][trace] = value; a block's table has keys _NONE and
     # its separator's vertices
     tables: list[dict[int, int]] = []
     top = Block(g.full_mask, 0, len(blocks_))
-    for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
+    top_caps = [i for i, p in enumerate(pmcs) if p.set & 1]
+    for b, cap_ids in zip(blocks_ + [top], caps + [top_caps]):
         if not cap_ids:
             raise SolverInvariantError("a block has no cap; PMC family incomplete")
         d, trace = b.d, list(iter_bits(b.s))

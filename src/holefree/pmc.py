@@ -8,15 +8,16 @@ maximal cliques of a graph", TCS 2002): when vertex a turns G into G', each
 PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S of G',
 or S | (T & C) for a minimal separator S of G' that avoids a and is new in
 G', a minimal separator T of G and a full component C of S in G'.  Every
-candidate is certified by the test above.  The sweep carries its state from
-G to G': a certificate and a separator record both hold the components of
-G minus their set with the neighborhoods, so Ω's gives those of G' - Ω,
-and Ω's or S's those of G' - (Ω + a) or G' - (S + a), without a flood; the
-minimal separators of G' are those of G lifted (S, or S + a) plus the
-minimal a,b-separators that keep a in a full component, generated as by
-Kloks & Kratsch ("Listing all minimal separators of a graph", SIAM J.
-Comput. 1998).  Only S | (T & C), and S + a for a new S, need a flood, and
-S | (T & C) only once a test on adjacency rows has not ruled it out.
+candidate is certified by the test above, from a record that already
+holds all but a part of the components, so the sweep never floods the
+whole of G': Ω or Ω + a needs no test (:func:`lift_pmc`), S + a for an S
+of G tests a's row only (:func:`lift_separator`), and S | X, for X inside
+a component C of a minimal separator S of G', floods C - X and tests X's
+rows only (:func:`cut_pmc`).  The minimal separators of G' are those of G
+lifted (S, or S + a) plus the minimal a,b-separators that keep a in a
+full component, generated as by Kloks & Kratsch ("Listing all minimal
+separators of a graph", SIAM J. Comput. 1998).  S | (T & C) is certified
+only once a test on adjacency rows has not ruled it out.
 
 The sweep runs once per atom of the clique minimal separator
 decomposition (Tarjan, "Decomposition by clique separators", Discrete
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bits import iter_bits, mask_of, to_tuple
+from .bits import canonical_key, iter_bits, mask_of, to_tuple
 from .errors import (
     CapacityExceededError,
     NoDominationError,
@@ -80,25 +81,30 @@ def is_pmc(g: Graph, cand: int) -> Pmc | None:
     if cand == 0:
         return None
     pairs = g.flood(g.full_mask & ~cand)
-    return _check_pmc(g, cand, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
+    return _check_pmc(g, cand, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs), cand)
 
 
-def _check_pmc(g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...]) -> Pmc | None:
+def _check_pmc(
+    g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...], unsure: int
+) -> Pmc | None:
     """The two PMC conditions on the components of g - cand and their
-    neighborhoods, in canonical order.
+    neighborhoods, in canonical order, where every nonedge of ``cand`` with
+    no end in ``unsure`` is already known to lie in one of the neighborhoods.
 
-    The nonedges xy with y > x are covered exactly when they all lie in the
-    union of the component neighborhoods that contain x.
+    No neighborhood may be the whole of ``cand``.  The nonedges at a vertex
+    x of ``unsure`` whose other end is not an earlier vertex of ``unsure``
+    are covered exactly when they all lie in the union of the neighborhoods
+    that contain x.  With ``unsure`` = ``cand`` that is the whole test.
     """
     if cand in nbrs:
         return None
     adj = g.adj
     rest = cand
-    while rest:
-        low = rest & -rest
+    while unsure:
+        low = unsure & -unsure
+        unsure ^= low
         rest ^= low
-        x = low.bit_length() - 1
-        targets = rest & ~adj[x]
+        targets = rest & ~adj[low.bit_length() - 1]
         if targets:
             seen = 0
             for nb in nbrs:
@@ -109,28 +115,63 @@ def _check_pmc(g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...
     return Pmc(cand, comps, nbrs)
 
 
-def lift_pmc(g: Graph, pmc: Pmc) -> Pmc | None:
-    """Certificate in g of Ω, else of Ω + a, for a PMC Ω of g minus its last
-    vertex a; None if neither is a PMC of g.
+def lift_pmc(g: Graph, pmc: Pmc) -> Pmc:
+    """Certificate in g of Ω if it is a PMC of g, else of Ω + a, for a PMC
+    Ω of g minus its last vertex a.  One of the two always is, and neither
+    needs a flood or a test.
 
-    No flood: the components of g - Ω follow from Ω's certificate by
-    :func:`absorb_last_vertex`, and Ω + a is :func:`lift_separator`'s.
+    The components of g - Ω are those of (g - a) - Ω, with the ones that
+    meet N(a) merged with a into one, C_a (:func:`absorb_last_vertex`).
+    The others keep their neighborhoods, none of which is all of Ω, and C_a's
+    holds the neighborhoods of the components it merged, so every nonedge
+    of Ω stays covered.  So Ω is a PMC of g exactly when N(C_a) is not all
+    of Ω.  Otherwise Ω + a is one.  The components of g - (Ω + a) are those
+    of (g - a) - Ω, each gaining a in its neighborhood when it meets N(a)
+    (:func:`add_last_vertex`): none sees all of Ω, so none sees all of
+    Ω + a, and the nonedges of Ω stay covered.  A nonedge ay, y in Ω, has y
+    in N(C_a) = Ω but not in N(a), so y is in the neighborhood of a
+    component that meets N(a), which now holds a as well.
     """
-    kept = _check_pmc(g, pmc.set, *absorb_last_vertex(g, pmc.components, pmc.neighborhoods))
-    return kept if kept is not None else lift_separator(g, pmc)
+    comps, nbrs = absorb_last_vertex(g, pmc.components, pmc.neighborhoods)
+    if pmc.set not in nbrs:
+        return Pmc(pmc.set, comps, nbrs)
+    nbrs = add_last_vertex(g, pmc.components, pmc.neighborhoods)
+    return Pmc(pmc.set | 1 << (g.n - 1), pmc.components, nbrs)
 
 
-def lift_separator(g: Graph, rec: Separator | Pmc) -> Pmc | None:
-    """Certificate in g of X + a, for a record X of g minus its last vertex
-    a (a minimal separator or a PMC there); None if X + a is not a PMC of g.
+def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
+    """Certificate in g of S + a, for a minimal separator S of g minus its
+    last vertex a; None if S + a is not a PMC of g.
 
-    No flood: the components of g - (X + a) are those of (g - a) - X, in
-    the same order, with the neighborhoods of :func:`add_last_vertex`.  A
-    full component of a separator S that meets N(a) sees all of S + a, so
-    :func:`_check_pmc` rejects it at once.
+    No flood: the components of g - (S + a) are those of (g - a) - S, in
+    the same order, with the neighborhoods of :func:`add_last_vertex`.  The
+    full components of S cover every nonedge of S, and a neighborhood only
+    grows, so only the nonedges at a are tested.  A full component of S
+    that meets N(a) sees all of S + a, so :func:`_check_pmc` rejects it.
     """
-    nbrs = add_last_vertex(g, rec.components, rec.neighborhoods)
-    return _check_pmc(g, rec.set | 1 << (g.n - 1), rec.components, nbrs)
+    bit = 1 << (g.n - 1)
+    nbrs = add_last_vertex(g, sep.components, sep.neighborhoods)
+    return _check_pmc(g, sep.set | bit, sep.components, nbrs, bit)
+
+
+def cut_pmc(g: Graph, sep: Separator, comp: int, x: int) -> Pmc | None:
+    """Certificate in g of S | X, for a minimal separator S of g with record
+    ``sep``, a component C = ``comp`` of g - S and a nonempty X inside C;
+    None if S | X is not a PMC of g.
+
+    Only C - X is flooded.  The components of g - (S | X) are those of
+    g - S other than C, with their neighborhoods, which lie inside S, and
+    the components of g[C - X], whose neighborhoods the flood takes in g.
+    A full component of S other than C, which exists as S has two, avoids
+    X and covers every nonedge of S, so only the nonedges at X are tested.
+    No neighborhood inside S is all of S | X, so only those of the flooded
+    components can fail the first condition.
+    """
+    pairs = [p for p in zip(sep.components, sep.neighborhoods) if p[0] != comp]
+    pairs += g.flood(comp & ~x)
+    pairs.sort(key=lambda p: p[0] & -p[0])
+    comps, nbrs = zip(*pairs)
+    return _check_pmc(g, sep.set | x, comps, nbrs, x)
 
 
 def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
@@ -240,7 +281,7 @@ def enumerate_pmcs(
     for pmc in family:
         if any(nb not in known for nb in pmc.neighborhoods):
             raise PreconditionError("provided minimal separator family is incomplete")
-    return sorted(family, key=lambda p: to_tuple(p.set))
+    return sorted(family, key=lambda p: canonical_key(p.set))
 
 
 def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[Pmc]:
@@ -257,13 +298,15 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
        S not a minimal separator of G, each minimal separator T of G and
        each full component C of S in G'.
 
-    Each distinct candidate is tested once per step.  No minimal separator
-    of G' is tested: it has two full components, so it is never a PMC.
-    S | a is one when a is in S, as it is then S.  Rule 1 reads the
-    components of G' - Ω and G' - (Ω | a) off Ω's certificate
-    (:func:`lift_pmc`), and rule 2 reads those of G' - (S | a) off S's
-    components in G when S is in Δ(G) (:func:`lift_separator`).  The other
-    candidates flood G'.
+    Each distinct candidate is tested once per step, and none floods G'.
+    No minimal separator of G' is tested: it has two full components, so
+    it is never a PMC.  S | a is one when a is in S, as it is then S.  Rule
+    1 reads the certificate of Ω or of Ω | a off Ω's, with no test
+    (:func:`lift_pmc`), and rule 2 that of S | a off S's record in G when S
+    is in Δ(G), testing a's row only (:func:`lift_separator`).  For a new
+    S, S | a and the rule-3 candidates S | X are certified from S's record
+    in G' by flooding only the component of S that X cuts and testing
+    only X's rows (:func:`cut_pmc`).
 
     Rule 3 skips the full component C_a that holds a.  In the theorem, a
     PMC Ω of G' made by rule 3 has a not in Ω and S = N(C_a), for C_a the
@@ -271,10 +314,10 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     disjoint from Ω.  Ω - S is not empty, as S is not a PMC, and lies in
     one full component of S, so that component is not C_a.  The candidates
     of each other full component C come from one pass over Δ(G), which
-    keeps each distinct S | (T & C) once.  Before its flood each one must
-    pass :func:`may_be_pmc`: a vertex of it with no neighbor in
+    keeps each distinct S | (T & C) once.  Before its certificate each one
+    must pass :func:`may_be_pmc`: a vertex of it with no neighbor in
     C - (T & C) may not end a nonedge that has an end in T & C.  On prisms
-    this leaves no candidate that fails the flood.
+    this leaves no candidate whose certificate fails.
 
     Δ(G') is carried over from Δ(G)
     (:func:`~holefree.separators.extend_minimal_separators`, under
@@ -301,35 +344,36 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
             tested.add(prev.set)
             tested.add(prev.set | a)
             pmc = lift_pmc(gi, prev)
-            if pmc is not None:
-                kept[pmc.set] = pmc
-        candidates: set[int] = set()
+            kept[pmc.set] = pmc
+        # candidate -> (record of S in G', the component of S it cuts, X)
+        candidates: dict[int, tuple[Separator, int, int]] = {}
         adj = gi.adj
         for s in seps_i:
             if s.set & a:
                 continue  # S | a is S, and rule 3 needs a not in S
             old = prev_seps.get(s.set)
             if old is None:
-                candidates.add(s.set | a)
                 for comp, nb in zip(s.components, s.neighborhoods):
-                    if nb != s.set or comp & a:
-                        continue  # not full, or C_a (see the docstring)
-                    for x in {t & comp for t in prev_seps}:
-                        cand = s.set | x
-                        if x and cand not in candidates and cand not in tested:
-                            if may_be_pmc(adj, cand, x, comp & ~x):
-                                candidates.add(cand)
-                            else:
-                                tested.add(cand)
+                    if comp & a:
+                        candidates.setdefault(s.set | a, (s, comp, a))
+                    elif nb == s.set:  # full, and not C_a (see the docstring)
+                        for x in {t & comp for t in prev_seps}:
+                            cand = s.set | x
+                            if x and cand not in candidates and cand not in tested:
+                                if may_be_pmc(adj, cand, x, comp & ~x):
+                                    candidates[cand] = (s, comp, x)
+                                else:
+                                    tested.add(cand)
             elif s.set | a not in tested:
                 # no other rule yields S | a, so it needs no entry in tested
                 pmc = lift_separator(gi, old)
                 if pmc is not None:
                     kept[pmc.set] = pmc
-        for cand in candidates - tested - seps_now.keys():
-            pmc = is_pmc(gi, cand)
-            if pmc is not None:
-                kept[cand] = pmc
+        for cand, (s, comp, x) in candidates.items():
+            if cand not in tested and cand not in seps_now:
+                pmc = cut_pmc(gi, s, comp, x)
+                if pmc is not None:
+                    kept[cand] = pmc
         family = kept
         prev_seps = seps_now
         if cap and len(family) > cap:
@@ -354,7 +398,7 @@ def block_family(g: Graph, minseps: list[Separator]) -> list[tuple[int, int]]:
     ]
 
 
-def find_covering_component(g: Graph, pmc: Pmc, member_set: int) -> int:
+def find_covering_component(pmc: Pmc, member_set: int) -> int:
     """A component of g - pmc whose neighborhood contains ``member_set``,
     two or more vertices of the PMC (:func:`dominate_pmc` passes a member v
     and its non-neighbours).  Components are scanned in canonical order,
@@ -427,7 +471,7 @@ def dominate_pmc(g: Graph, pmc: Pmc) -> DominationResult:
             return DominationResult((v,), "single-vertex")
     for v in iter_bits(target):
         try:
-            comp = find_covering_component(g, pmc, target & ~g.adj[v])
+            comp = find_covering_component(pmc, target & ~g.adj[v])
             sep = analyze_separator(g, pmc.neighborhoods[pmc.components.index(comp)])
             d_index = sep.components.index(comp)
             b_index = next(i for i in sep.full if i != d_index)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
-from .bits import iter_bits, mask_of, to_tuple
+from .bits import canonical_key, iter_bits, mask_of
 from .errors import PreconditionError, SolverInvariantError
 from .graph import Graph
 
@@ -315,7 +316,7 @@ def _maximal_cliques_chordal(h: Graph, order: list[int]) -> list[int]:
         numbered |= 1 << v
     return sorted(
         (c for c, nxt in zip(candidates, candidates[1:] + [0]) if nxt.bit_count() <= c.bit_count()),
-        key=to_tuple,
+        key=canonical_key,
     )
 
 
@@ -342,22 +343,29 @@ def clique_tree(g: Graph, fill: FillIn = ()) -> TreeDecomposition:
 
     The tree is a maximum-weight spanning tree of the clique-intersection
     graph (Kruskal with canonical tie-breaking), which guarantees the
-    running-intersection property.  Pairs with no common vertex weigh 0 and
-    sort last, so they only join the clique trees of separate components.
-    The empty graph gets the single empty bag.
+    running-intersection property.  Only the pairs of bags that share a
+    vertex, read off each vertex's list of bags, are sorted.  Pairs with
+    no common vertex weigh 0 and sort last in (i, j) order, so they only
+    join the clique trees of separate components, and the first of them
+    that does is (0, j): bag 0 takes each later bag j not yet joined to it,
+    in ascending order.  The empty graph gets the single empty bag.
     """
     h = g.with_edges(fill) if fill else g
     order, extra = _mcs_m(h)
     if extra:
         raise PreconditionError("graph plus fill-in is not chordal")
     bags = _maximal_cliques_chordal(h, order) or [0]
+    bags_at: list[list[int]] = [[] for _ in range(h.n)]
+    for i, bag in enumerate(bags):
+        for v in iter_bits(bag):
+            bags_at[v].append(i)
     pairs = sorted(
         (-(bags[i] & bags[j]).bit_count(), i, j)
-        for i in range(len(bags))
-        for j in range(i + 1, len(bags))
+        for i, j in {pair for at in bags_at for pair in combinations(at, 2)}
     )
     uf = _UnionFind(len(bags))
     edges = [(i, j) for _, i, j in pairs if uf.union(i, j)]
+    edges += [(0, j) for j in range(1, len(bags)) if uf.union(0, j)]
     tree = TreeDecomposition(tuple(bags), tuple(edges))
     tree.validate(h)
     return tree

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import iter_bits, to_tuple
+from .bits import canonical_key, iter_bits, to_tuple
 from .errors import CapacityExceededError, SolverInvariantError
 from .graph import Graph
 
@@ -121,7 +121,7 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
                     raise CapacityExceededError("minimal separators", cap, len(found))
                 stack.append(nb)
 
-    out = [_separator_of_component(g, found[nb], nb) for nb in sorted(found, key=to_tuple)]
+    out = [_separator_of_component(g, found[nb], nb) for nb in sorted(found, key=canonical_key)]
     for sep in out:
         if not sep.is_minimal:
             raise SolverInvariantError(f"candidate {to_tuple(sep.set)} is not a minimal separator")
@@ -245,4 +245,4 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
                 add(sep)
                 stack.append(sep)
 
-    return sorted(found.values(), key=lambda s: to_tuple(s.set))
+    return sorted(found.values(), key=lambda s: canonical_key(s.set))

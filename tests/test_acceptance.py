@@ -235,7 +235,7 @@ def test_criterion_8_lemma_suite(lhf_corpus_10):
                     continue  # v dominates the PMC; dominate_pmc never asks
                 checks += 1
                 try:
-                    comp = find_covering_component(g, p, missing)
+                    comp = find_covering_component(p, missing)
                     if missing & ~g.neighborhood(comp):
                         failures += 1
                 except Exception:
@@ -247,7 +247,7 @@ def test_criterion_8_lemma_suite(lhf_corpus_10):
                         continue
                     checks += 1
                     try:
-                        if m & ~g.neighborhood(find_covering_component(g, p, m)):
+                        if m & ~g.neighborhood(find_covering_component(p, m)):
                             failures += 1
                     except Exception:
                         failures += 1

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import holefree.engine as engine
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.engine import (
     Block,
@@ -126,6 +127,25 @@ def test_solve_bt_p4_weighted():
     pmcs, blocks = _pipeline(g)
     res = solve_bt(g, pmcs, blocks)
     assert res.weight == 6 and res.vertices in ((0, 2), (1, 3))
+
+
+def test_solve_bt_on_the_8_prism_fills_the_blocks_without_vertex_0(monkeypatch):
+    """The DP is rooted at vertex 0: of the 8-prism's 508 blocks it keeps the
+    381 whose D avoids 0 and fills their 3,429 entries (4,572 for all)."""
+    seen = []
+    real = engine.index_caps
+
+    def spy(g, pmcs, blocks):
+        seen.extend(blocks)
+        return real(g, pmcs, blocks)
+
+    monkeypatch.setattr(engine, "index_caps", spy)
+    g = prism_graph(8)
+    pmcs, blocks = _pipeline(g)
+    res = solve_bt(g, pmcs, blocks)
+    assert len(blocks) == 508
+    assert (res.stats.table_entries, res.stats.blocks, len(seen)) == (3429, 381, 381)
+    assert not any(b.d & 1 for b in seen)
 
 
 def _assert_dp_matches_reference(g):

@@ -296,6 +296,7 @@ def _assert_rule_one_certificates(g):
         a = 1 << (gi.n - 1)
         for prev in family:
             expected = is_pmc(gi, prev.set) or is_pmc(gi, prev.set | a)
+            assert expected is not None, (g.adj, gi.n, to_tuple(prev.set))
             assert lift_pmc(gi, prev) == expected, (g.adj, gi.n, to_tuple(prev.set))
         family = enumerate_pmcs(gi, seps)
 
@@ -354,15 +355,16 @@ def test_rule_two_certificates_match_certify_on_random_graphs():
 
 def test_sweep_never_tests_a_minimal_separator(monkeypatch):
     """A minimal separator is never a PMC, so the sweep must not spend a
-    flood on one; S | a is one for each minimal separator S that holds a."""
+    certificate on one; S | a is one for each minimal separator S that
+    holds a."""
     calls = []
-    real = holefree.pmc.is_pmc
+    real = holefree.pmc.cut_pmc
 
-    def spy(g, cand):
-        calls.append((g, cand))
-        return real(g, cand)
+    def spy(g, sep, comp, x):
+        calls.append((g, sep.set | x))
+        return real(g, sep, comp, x)
 
-    monkeypatch.setattr(holefree.pmc, "is_pmc", spy)
+    monkeypatch.setattr(holefree.pmc, "cut_pmc", spy)
     graphs = [*_lhf_graphs(20), *_lhf_graphs(30), prism_graph(5), *_random_prefix_corpus()[::4]]
     for g in graphs:
         enumerate_pmcs(g, enumerate_minimal_separators(g))
@@ -397,16 +399,16 @@ def test_rule_three_pretest_keeps_every_pmc(random_corpus_12):
 @pytest.mark.parametrize("k", range(4, 9))
 def test_sweep_floods_no_failing_candidate_on_prisms(monkeypatch, k):
     """On prisms the rule-3 pre-test rejects every candidate that is not a
-    PMC, so every call of the PMC test accepts."""
+    PMC, so every certificate that floods a component accepts."""
     verdicts = []
-    real = holefree.pmc.is_pmc
+    real = holefree.pmc.cut_pmc
 
-    def spy(g, cand):
-        pmc = real(g, cand)
+    def spy(g, sep, comp, x):
+        pmc = real(g, sep, comp, x)
         verdicts.append(pmc is not None)
         return pmc
 
-    monkeypatch.setattr(holefree.pmc, "is_pmc", spy)
+    monkeypatch.setattr(holefree.pmc, "cut_pmc", spy)
     g = prism_graph(k)
     enumerate_pmcs(g, enumerate_minimal_separators(g))
     assert len(verdicts) > 10 and all(verdicts)
@@ -504,14 +506,14 @@ def test_block_family_k4_empty():
 def test_covering_component_c4():
     g = c4()
     pmc = is_pmc(g, mask_of([0, 1, 2]))
-    assert find_covering_component(g, pmc, mask_of([0, 2])) == 1 << 3
+    assert find_covering_component(pmc, mask_of([0, 2])) == 1 << 3
 
 
 def test_covering_component_requires_subset():
     g = c4()
     pmc = is_pmc(g, mask_of([0, 1, 2]))
     with pytest.raises(PreconditionError):
-        find_covering_component(g, pmc, 1 << 3)
+        find_covering_component(pmc, 1 << 3)
 
 
 def test_covering_component_independent_sets(lhf_corpus_10):
@@ -523,7 +525,7 @@ def test_covering_component_independent_sets(lhf_corpus_10):
                     m = mask_of(sub)
                     if not g.is_independent(m):
                         continue
-                    comp = find_covering_component(g, pmc, m)
+                    comp = find_covering_component(pmc, m)
                     assert m & ~g.neighborhood(comp) == 0
 
 

@@ -10,10 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from holefree.bits import iter_bits, to_tuple  # noqa: E402
+from holefree.bits import canonical_key, iter_bits, to_tuple  # noqa: E402
 from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
-from holefree.pmc import block_family, enumerate_pmcs  # noqa: E402
+from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
 from holefree.separators import analyze_separator, enumerate_minimal_separators  # noqa: E402
 
 from oracles import brute_force_minimal_separators, brute_force_pmcs, exhaustive_mwis  # noqa: E402
@@ -53,6 +53,29 @@ def test_every_seed_and_move_candidate_is_a_minimal_separator(g):
     for region in regions:
         for comp in g.components(region):
             assert len(analyze_separator(g, g.neighborhood(comp)).full) >= 2
+
+
+@derandomized
+@hypothesis.given(graphs(), st.data())
+def test_cut_certificates_equal_the_flooded_ones(g, data):
+    # S | X from S's record, for S in Δ(g), X a nonempty subset of one
+    # component of g - S: the same verdict and record as a whole-graph flood
+    hypothesis.assume(g.is_connected())
+    for sep in enumerate_minimal_separators(g):
+        for comp in sep.components:
+            members = to_tuple(comp)
+            pick = data.draw(st.integers(1, (1 << len(members)) - 1))
+            x = sum(1 << v for i, v in enumerate(members) if pick >> i & 1)
+            assert cut_pmc(g, sep, comp, x) == is_pmc(g, sep.set | x)
+
+
+@derandomized
+@hypothesis.given(
+    st.lists(st.one_of(st.integers(0, 64), st.integers(0, 1 << 12), st.integers(0, 1 << 310)))
+)
+def test_canonical_key_sorts_as_to_tuple(masks):
+    # both keys are one-to-one, so the sorted lists agree only if the orders do
+    assert sorted(masks + [0], key=canonical_key) == sorted(masks + [0], key=to_tuple)
 
 
 @derandomized
