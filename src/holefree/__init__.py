@@ -19,7 +19,6 @@ from .recognition import (
 from .separators import Separator, analyze_separator, enumerate_minimal_separators
 from .pmc import (
     DominationResult,
-    Pmc,
     block_family,
     dominate_pmc,
     enumerate_pmcs,
@@ -28,7 +27,6 @@ from .pmc import (
     is_pmc,
 )
 from .engine import (
-    Block,
     SolveConfig,
     SolveResult,
     SolveStats,
@@ -66,7 +64,6 @@ __all__ = [
     "Separator",
     "analyze_separator",
     "enumerate_minimal_separators",
-    "Pmc",
     "DominationResult",
     "is_pmc",
     "enumerate_pmcs",
@@ -74,7 +71,6 @@ __all__ = [
     "find_covering_component",
     "find_separator_cover_pair",
     "dominate_pmc",
-    "Block",
     "SolveConfig",
     "SolveResult",
     "SolveStats",

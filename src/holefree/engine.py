@@ -1,18 +1,18 @@
 """Exact MWIS via dynamic programming over blocks and potential maximal cliques.
 
-A block is a connected set D together with S = N(D): a full component of
-a minimal separator S, so the separator record already holds N(D).  Since
-every minimal separator is a clique in some chordal completion, an optimum
-independent set meets it in at most one vertex; the table is therefore
-indexed by the block and a single trace vertex of S (or none).  The value
-of an entry is the best weight achievable inside D compatibly with the
-trace; caps (PMCs squeezed between S and S | D) split D into strictly
-smaller child blocks, the components of g - cap inside D.
+A block is a pair (D, S) read off a minimal separator record: D a full
+component of the minimal separator S, so S = N(D).  Since every minimal
+separator is a clique in some chordal completion, an optimum independent
+set meets it in at most one vertex; the table is therefore indexed by
+the block and a single trace vertex of S (or none).  The value of an
+entry is the best weight achievable inside D compatibly with the trace;
+caps (PMCs squeezed between S and S | D) split D into strictly smaller
+child blocks, the components of g - cap inside D.
 
 Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
-Comput. 2001): Ω is a cap of (S, D) exactly when a component C of g - Ω
+Comput. 2001): Ω is a cap of (D, S) exactly when a component C of g - Ω
 has N(C) = S and D meets Ω.  The DP is rooted at vertex 0: the whole
-graph is the top block (∅, V), whose caps are the PMCs that hold 0, and
+graph is the top block (V, ∅), whose caps are the PMCs that hold 0, and
 only the blocks whose D avoids 0 lie below them.  The table holds plain
 ints: the perturbed weights of :func:`perturbed_weights`, whose one
 maximum spells both the optimum and the canonical witness, read off once
@@ -32,17 +32,10 @@ from fractions import Fraction
 from .bits import iter_bits, mask_of, to_tuple
 from .errors import OracleLimitError, PreconditionError, SolverInvariantError
 from .graph import Graph
-from .pmc import Pmc, block_family, enumerate_pmcs
-from .separators import enumerate_minimal_separators
+from .pmc import block_family, enumerate_pmcs
+from .separators import Separator, enumerate_minimal_separators
 
 _NONE = -1  # trace marker for "no separator vertex chosen"
-
-
-@dataclass(frozen=True)
-class Block:
-    d: int  # connected vertex set
-    s: int  # its open neighborhood
-    id: int
 
 
 @dataclass(frozen=True)
@@ -122,36 +115,36 @@ def decode(n: int, scale: int, value: int) -> tuple[Fraction, int]:
     return Fraction(value >> n, scale), int(f"{low:0{n}b}"[::-1], 2)
 
 
-def index_caps(g: Graph, pmcs: list[Pmc], blocks: list[Block]) -> list[list[int]]:
-    """For each block (S, D): ascending indices of the PMCs squeezed between
-    S and S | D.
+def index_caps(pmcs: list[Separator], blocks: list[tuple[int, int]]) -> list[list[int]]:
+    """For each block (D, S): ascending indices of the PMCs squeezed
+    between S and S | D.
 
     Built from (PMC, component) pairs (Bouchitté & Todinca, SIAM J. Comput.
-    2001): Ω is a cap of (S, D) exactly when some component C of g - Ω has
+    2001): Ω is a cap of (D, S) exactly when some component C of g - Ω has
     N(C) = S and D is the block with N(D) = S that meets Ω.  That takes one
     step per component of g - Ω, whose N(C) the PMC certificate holds,
     instead of testing every PMC on every block.
     """
     by_sep: dict[int, list[int]] = {}
-    for j, b in enumerate(blocks):
-        by_sep.setdefault(b.s, []).append(j)
+    for j, (_, s) in enumerate(blocks):
+        by_sep.setdefault(s, []).append(j)
     caps: list[list[int]] = [[] for _ in blocks]
     for i, p in enumerate(pmcs):
         for nb in p.neighborhoods:
             for j in by_sep.get(nb, ()):
-                if blocks[j].d & p.set:
+                if blocks[j][0] & p.set:
                     if not caps[j] or caps[j][-1] != i:
                         caps[j].append(i)
                     break
     return caps
 
 
-def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveResult:
+def solve_bt(g: Graph, pmcs: list[Separator], blocks: list[tuple[int, int]]) -> SolveResult:
     """Exact MWIS on a connected graph from its complete PMC family.
 
     ``blocks`` is the block family as (D, N(D)) pairs; cap indexing is
     derived here.  The DP is rooted at vertex 0: it keeps only the blocks
-    with 0 not in D, and the top block (∅, V) takes as caps only the PMCs
+    with 0 not in D, and the top block (V, ∅) takes as caps only the PMCs
     that hold 0.  Its single entry is the answer.  That is exact.  The
     optimum stays independent in some minimal triangulation H of g, which
     the one-trace-vertex table already rests on, and the DP reaches it from
@@ -163,34 +156,36 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveR
 
     The children of a block D under a cap Ω are the components of g - Ω
     inside D, strictly smaller than D, so a stable sort by size alone
-    orders the tables.  The table holds sums of :func:`perturbed_weights`,
-    so each entry is the one maximum of its choices, whatever the order
-    among blocks of one size, and the answer decodes to the canonical
-    witness.  ``stats.table_entries`` counts the entries of the kept
-    blocks' tables.
+    orders the tables, and the top block's comes last.  The table holds
+    sums of :func:`perturbed_weights`, so each entry is the one maximum of
+    its choices, whatever the order among blocks of one size, and the
+    answer decodes to the canonical witness.  ``stats.table_entries``
+    counts the entries of the kept blocks' tables.
     """
     if not g.is_connected():
         raise PreconditionError("solve_bt needs a connected graph")
     t0 = time.perf_counter()
 
-    ordered = sorted((b for b in blocks if not b[0] & 1), key=lambda b: b[0].bit_count())
-    blocks_ = [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
-    by_mask = {b.d: b.id for b in blocks_}
-    caps = index_caps(g, pmcs, blocks_)
+    blocks = sorted((b for b in blocks if not b[0] & 1), key=lambda b: b[0].bit_count())
+    stats = SolveStats(
+        pmcs=len(pmcs), blocks=len(blocks), table_entries=sum(s.bit_count() + 1 for _, s in blocks)
+    )
+    caps = index_caps(pmcs, blocks)
+    blocks.append((g.full_mask, 0))
+    caps.append([i for i, p in enumerate(pmcs) if p.set & 1])
+    by_mask = {d: j for j, (d, _) in enumerate(blocks)}
     scale, w = perturbed_weights(g)
 
     if any(comp not in by_mask for p in pmcs for comp in p.components if not comp & 1):
         raise SolverInvariantError("block family misses a component of g - PMC")
 
-    # tables[block id][trace] = value; a block's table has keys _NONE and
-    # its separator's vertices
+    # tables[block index][trace] = value; a block's table has keys _NONE
+    # and its separator's vertices
     tables: list[dict[int, int]] = []
-    top = Block(g.full_mask, 0, len(blocks_))
-    top_caps = [i for i, p in enumerate(pmcs) if p.set & 1]
-    for b, cap_ids in zip(blocks_ + [top], caps + [top_caps]):
+    for (d, s), cap_ids in zip(blocks, caps):
         if not cap_ids:
             raise SolverInvariantError("a block has no cap; PMC family incomplete")
-        d, trace = b.d, list(iter_bits(b.s))
+        trace = list(iter_bits(s))
         # the best value with no trace, and with each trace vertex
         best_none = -1
         best = [-1] * len(trace)
@@ -229,14 +224,9 @@ def solve_bt(g: Graph, pmcs: list[Pmc], blocks: list[tuple[int, int]]) -> SolveR
         table.update(zip(trace, best))
         tables.append(table)
 
-    weight, mask = decode(g.n, scale, tables[top.id][_NONE])
+    weight, mask = decode(g.n, scale, tables[-1][_NONE])
     check_independent_witness(g, weight, mask)
-    stats = SolveStats(
-        pmcs=len(pmcs),
-        blocks=len(blocks_),
-        table_entries=sum(b.s.bit_count() + 1 for b in blocks_),
-        time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(weight, to_tuple(mask), "bt", stats)
 
 
@@ -258,7 +248,7 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
         sub, vmap = g.induced(comp)
         minseps = enumerate_minimal_separators(sub, cap=cfg.cap_seps)
         pmcs = enumerate_pmcs(sub, minseps, cap=cfg.cap_pmcs, cap_seps=cfg.cap_seps)
-        blocks = block_family(sub, minseps)
+        blocks = block_family(minseps)
         res = solve_bt(sub, pmcs, blocks)
         stats.merge(res.stats)
         stats.minseps += len(minseps)

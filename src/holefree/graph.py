@@ -42,6 +42,8 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         weights: Iterable | None = None,
     ):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

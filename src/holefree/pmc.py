@@ -2,20 +2,22 @@
 
 A vertex set is a potential maximal clique (PMC) when no component of its
 removal sees all of it and every internal nonedge is covered by some
-component.  Enumeration goes vertex by vertex over prefix graphs following
-the one-more-vertex theorem of Bouchitté & Todinca ("Listing all potential
-maximal cliques of a graph", TCS 2002): when vertex a turns G into G', each
-PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S of G',
-or S | (T & C) for a minimal separator S of G' that avoids a and is new in
-G', a minimal separator T of G and a full component C of S in G'.  Every
-candidate is certified by the test above, from a record that already
+component.  Its certificate is the :class:`~holefree.separators.Separator`
+record of the set: the components of its removal and their neighborhoods.
+Enumeration goes vertex by vertex over prefix graphs following the
+one-more-vertex theorem of Bouchitté & Todinca ("Listing all potential
+maximal cliques of a graph", TCS 2002): when vertex a turns G into G',
+each PMC of G' is a PMC Ω of G or Ω + a, S + a for a minimal separator S
+of G', or S | (T & C) for a minimal separator S of G' that avoids a and is
+new in G', a minimal separator T of G and a full component C of S in G'.
+Every candidate is certified by the test above, from a record that already
 holds all but a part of the components, so the sweep never floods the
 whole of G': Ω or Ω + a needs no test (:func:`lift_pmc`), S + a for an S
 of G tests a's row only (:func:`lift_separator`), and S | X, for X inside
 a component C of a minimal separator S of G', floods C - X and tests X's
 rows only (:func:`cut_pmc`).  The minimal separators of G' are those of G
-lifted (S, or S + a) plus the minimal a,b-separators that keep a in a
-full component, generated as by Kloks & Kratsch ("Listing all minimal
+lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
+component, generated as by Kloks & Kratsch ("Listing all minimal
 separators of a graph", SIAM J. Comput. 1998).  S | (T & C) is certified
 only once a test on adjacency rows has not ruled it out.
 
@@ -54,21 +56,6 @@ from .separators import (
 
 
 @dataclass(frozen=True)
-class Pmc:
-    """A certified potential maximal clique.
-
-    ``components`` are the components of g - set in canonical order and
-    ``neighborhoods`` their neighborhoods, in the same order, as in a
-    :class:`~holefree.separators.Separator`.  Every internal nonedge lies
-    inside one of those neighborhoods.
-    """
-
-    set: int
-    components: tuple[int, ...]
-    neighborhoods: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DominationResult:
     """A set Z of at most three vertices with the PMC inside N[Z]."""
 
@@ -76,30 +63,25 @@ class DominationResult:
     method: str  # "single-vertex" | "lemma-chain" | "brute-fallback"
 
 
-def is_pmc(g: Graph, cand: int) -> Pmc | None:
+def is_pmc(g: Graph, cand: int) -> Separator | None:
     """The certificate of ``cand`` as a PMC of g, or None if it is not one."""
-    if cand == 0:
-        return None
-    pairs = g.flood(g.full_mask & ~cand)
-    return _check_pmc(g, cand, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs), cand)
+    return _check_pmc(g, analyze_separator(g, cand), cand) if cand else None
 
 
-def _check_pmc(
-    g: Graph, cand: int, comps: tuple[int, ...], nbrs: tuple[int, ...], unsure: int
-) -> Pmc | None:
-    """The two PMC conditions on the components of g - cand and their
-    neighborhoods, in canonical order, where every nonedge of ``cand`` with
-    no end in ``unsure`` is already known to lie in one of the neighborhoods.
+def _check_pmc(g: Graph, rec: Separator, unsure: int) -> Separator | None:
+    """``rec`` if its set is a PMC of g, else None, where every nonedge of
+    the set with no end in ``unsure`` is already known to lie in one of the
+    record's neighborhoods.
 
-    No neighborhood may be the whole of ``cand``.  The nonedges at a vertex
-    x of ``unsure`` whose other end is not an earlier vertex of ``unsure``
-    are covered exactly when they all lie in the union of the neighborhoods
-    that contain x.  With ``unsure`` = ``cand`` that is the whole test.
+    No neighborhood may be the whole set.  The nonedges at a vertex x of
+    ``unsure`` whose other end is not an earlier vertex of ``unsure`` are
+    covered exactly when they all lie in the union of the neighborhoods
+    that contain x.  With ``unsure`` the whole set that is the whole test.
     """
-    if cand in nbrs:
+    rest, nbrs = rec.set, rec.neighborhoods
+    if rest in nbrs:
         return None
     adj = g.adj
-    rest = cand
     while unsure:
         low = unsure & -unsure
         unsure ^= low
@@ -112,10 +94,10 @@ def _check_pmc(
                     seen |= nb
             if targets & ~seen:
                 return None
-    return Pmc(cand, comps, nbrs)
+    return rec
 
 
-def lift_pmc(g: Graph, pmc: Pmc) -> Pmc:
+def lift_pmc(g: Graph, pmc: Separator) -> Separator:
     """Certificate in g of Ω if it is a PMC of g, else of Ω + a, for a PMC
     Ω of g minus its last vertex a.  One of the two always is, and neither
     needs a flood or a test.
@@ -132,14 +114,11 @@ def lift_pmc(g: Graph, pmc: Pmc) -> Pmc:
     in N(C_a) = Ω but not in N(a), so y is in the neighborhood of a
     component that meets N(a), which now holds a as well.
     """
-    comps, nbrs = absorb_last_vertex(g, pmc.components, pmc.neighborhoods)
-    if pmc.set not in nbrs:
-        return Pmc(pmc.set, comps, nbrs)
-    nbrs = add_last_vertex(g, pmc.components, pmc.neighborhoods)
-    return Pmc(pmc.set | 1 << (g.n - 1), pmc.components, nbrs)
+    rec = absorb_last_vertex(g, pmc)
+    return rec if pmc.set not in rec.neighborhoods else add_last_vertex(g, pmc)
 
 
-def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
+def lift_separator(g: Graph, sep: Separator) -> Separator | None:
     """Certificate in g of S + a, for a minimal separator S of g minus its
     last vertex a; None if S + a is not a PMC of g.
 
@@ -149,12 +128,10 @@ def lift_separator(g: Graph, sep: Separator) -> Pmc | None:
     grows, so only the nonedges at a are tested.  A full component of S
     that meets N(a) sees all of S + a, so :func:`_check_pmc` rejects it.
     """
-    bit = 1 << (g.n - 1)
-    nbrs = add_last_vertex(g, sep.components, sep.neighborhoods)
-    return _check_pmc(g, sep.set | bit, sep.components, nbrs, bit)
+    return _check_pmc(g, add_last_vertex(g, sep), 1 << (g.n - 1))
 
 
-def cut_pmc(g: Graph, sep: Separator, comp: int, x: int) -> Pmc | None:
+def cut_pmc(g: Graph, sep: Separator, comp: int, x: int) -> Separator | None:
     """Certificate in g of S | X, for a minimal separator S of g with record
     ``sep``, a component C = ``comp`` of g - S and a nonempty X inside C;
     None if S | X is not a PMC of g.
@@ -171,7 +148,7 @@ def cut_pmc(g: Graph, sep: Separator, comp: int, x: int) -> Pmc | None:
     pairs += g.flood(comp & ~x)
     pairs.sort(key=lambda p: p[0] & -p[0])
     comps, nbrs = zip(*pairs)
-    return _check_pmc(g, sep.set | x, comps, nbrs, x)
+    return _check_pmc(g, Separator(sep.set | x, comps, nbrs), x)
 
 
 def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
@@ -236,7 +213,7 @@ def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
 
 def enumerate_pmcs(
     g: Graph, minseps: list[Separator], cap: int = 0, cap_seps: int = 0
-) -> list[Pmc]:
+) -> list[Separator]:
     """The complete, canonically sorted PMC family of g.
 
     The enumeration first splits g into its :func:`atoms` along the
@@ -284,7 +261,7 @@ def enumerate_pmcs(
     return sorted(family, key=lambda p: canonical_key(p.set))
 
 
-def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[Pmc]:
+def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[Separator]:
     """The PMCs of g, certified on g, by a sweep over its prefix graphs
     G_1..G_n that ends with the minimal separators ``minseps`` of g.
 
@@ -330,7 +307,7 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     are.  A prefix family over ``cap`` raises CapacityExceededError.
     """
     # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
-    family: dict[int, Pmc] = {1: Pmc(1, (), ())} if g.n else {}
+    family: dict[int, Separator] = {1: Separator(1, (), ())} if g.n else {}
     seps_i: list[Separator] = []
     prev_seps: dict[int, Separator] = {}  # the minimal separators of G_{i-1}
     for i in range(2, g.n + 1):
@@ -338,7 +315,7 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
         a = 1 << (i - 1)
         seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i, cap=cap_seps)
         seps_now = {s.set: s for s in seps_i}
-        kept: dict[int, Pmc] = {}
+        kept: dict[int, Separator] = {}
         tested: set[int] = set()
         for prev in family.values():
             tested.add(prev.set)
@@ -381,7 +358,7 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     return list(family.values())
 
 
-def block_family(g: Graph, minseps: list[Separator]) -> list[tuple[int, int]]:
+def block_family(minseps: list[Separator]) -> list[tuple[int, int]]:
     """The blocks (D, N(D)): each full component D of each minimal
     separator S, with N(D) = S, in the order of ``minseps``.
 
@@ -398,7 +375,7 @@ def block_family(g: Graph, minseps: list[Separator]) -> list[tuple[int, int]]:
     ]
 
 
-def find_covering_component(pmc: Pmc, member_set: int) -> int:
+def find_covering_component(pmc: Separator, member_set: int) -> int:
     """A component of g - pmc whose neighborhood contains ``member_set``,
     two or more vertices of the PMC (:func:`dominate_pmc` passes a member v
     and its non-neighbours).  Components are scanned in canonical order,
@@ -446,7 +423,7 @@ def find_separator_cover_pair(
     )
 
 
-def dominate_pmc(g: Graph, pmc: Pmc) -> DominationResult:
+def dominate_pmc(g: Graph, pmc: Separator) -> DominationResult:
     """A set Z, |Z| <= 3, with the PMC inside N[Z].
 
     First scans for a single dominating member.  Otherwise, for each member

@@ -4,10 +4,11 @@ Separator records, the complete close-neighborhood enumeration and its
 one-more-vertex update.
 
 A record holds the components of g minus its set and their
-neighborhoods, the same fields as a PMC certificate; the full components
-are those whose neighborhood is the whole set.  Both enumerations
-generate every candidate as N(C) for a component C that a flood has just
-returned.  Such a C is connected with N(C) the candidate itself, so it
+neighborhoods; the full components are those whose neighborhood is the
+whole set.  The same record is the certificate of a potential maximal
+clique (:mod:`holefree.pmc`).  Both enumerations generate every
+candidate as N(C) for a component C that a flood has just returned.
+Such a C is connected with N(C) the candidate itself, so it
 is a component of g minus the candidate, and a full one; its record
 floods only the rest of the graph.  The complete enumeration is a
 closure on bare sets that maps each N(C) to its C; it builds the records
@@ -28,7 +29,9 @@ from .graph import Graph
 @dataclass(frozen=True)
 class Separator:
     """A vertex set with the components of the rest of the graph, in
-    canonical order, and their neighborhoods, in the same order."""
+    canonical order, and their neighborhoods, in the same order: the
+    record of a minimal separator, or the certificate of a PMC, whose
+    every internal nonedge lies inside one of the neighborhoods."""
 
     set: int
     components: tuple[int, ...]
@@ -128,12 +131,9 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     return out
 
 
-def absorb_last_vertex(
-    g: Graph, comps: tuple[int, ...], nbrs: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Components of g - X with their neighborhoods, from those of
-    (g - a) - X in canonical order, where a is the last vertex of g and X
-    avoids a.
+def absorb_last_vertex(g: Graph, rec: Separator) -> Separator:
+    """The record of X in g, from ``rec``, that of X in g minus its last
+    vertex a.
 
     The components that meet N(a) merge with a into one, placed where the
     first of them was (last if there is none, as a is the largest vertex);
@@ -141,41 +141,38 @@ def absorb_last_vertex(
     others keep their neighborhoods.
     """
     adj_a = g.adj[-1]
-    out_c: list[int] = []
-    out_n: list[int] = []
+    comps: list[int] = []
+    nbrs: list[int] = []
     at = -1
     merged = 1 << (g.n - 1)
     merged_nb = adj_a
-    for comp, nb in zip(comps, nbrs):
+    for comp, nb in zip(rec.components, rec.neighborhoods):
         if comp & adj_a:
             if at < 0:
-                at = len(out_c)
-                out_c.append(0)
-                out_n.append(0)
+                at = len(comps)
             merged |= comp
             merged_nb |= nb
         else:
-            out_c.append(comp)
-            out_n.append(nb)
+            comps.append(comp)
+            nbrs.append(nb)
     if at < 0:
-        at = len(out_c)
-        out_c.append(0)
-        out_n.append(0)
-    out_c[at] = merged
-    out_n[at] = merged_nb & ~merged
-    return tuple(out_c), tuple(out_n)
+        at = len(comps)
+    comps.insert(at, merged)
+    nbrs.insert(at, merged_nb & ~merged)
+    return Separator(rec.set, tuple(comps), tuple(nbrs))
 
 
-def add_last_vertex(g: Graph, comps: tuple[int, ...], nbrs: tuple[int, ...]) -> tuple[int, ...]:
-    """Neighborhoods of the components of g - (X + a), from those of
-    (g - a) - X, where a is the last vertex of g and X avoids a.
+def add_last_vertex(g: Graph, rec: Separator) -> Separator:
+    """The record of X + a in g, from ``rec``, that of X in g minus its last
+    vertex a.
 
     The components are the same, in the same order, and each one's
     neighborhood gains a exactly when it meets N(a).
     """
     bit = 1 << (g.n - 1)
     adj_a = g.adj[-1]
-    return tuple(nb | bit if c & adj_a else nb for c, nb in zip(comps, nbrs))
+    nbrs = tuple(nb | bit if c & adj_a else nb for c, nb in zip(rec.components, rec.neighborhoods))
+    return Separator(rec.set | bit, rec.components, nbrs)
 
 
 def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> list[Separator]:
@@ -210,11 +207,7 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
             raise CapacityExceededError("minimal separators", cap, len(found))
 
     for old in prev:
-        comps, nbrs = old.components, old.neighborhoods
-        for sep in (
-            Separator(old.set, *absorb_last_vertex(g, comps, nbrs)),
-            Separator(old.set | bit, comps, add_last_vertex(g, comps, nbrs)),
-        ):
+        for sep in (absorb_last_vertex(g, old), add_last_vertex(g, old)):
             if sep.is_minimal:
                 add(sep)
 

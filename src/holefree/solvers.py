@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .bits import iter_bits, mask_of, to_tuple
 from .errors import (
+    CapacityExceededError,
     NoDominationError,
     PreconditionError,
     SolverInvariantError,
@@ -38,6 +39,7 @@ from .pmc import dominate_pmc, is_pmc
 from .recognition import TreeDecomposition, clique_tree, find_k_prism, minimal_triangulation
 
 BRUTE_FLOOR = 25  # below this size the prism branching just uses the oracle
+BAG_LIMIT = 25  # the largest bag the tree-decomposition DP accepts
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,7 @@ def build_tree_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
-def solve_treewidth_dp(
-    g: Graph, td: TreeDecomposition, bag_limit: int = 25
-) -> SolveResult:
+def solve_treewidth_dp(g: Graph, td: TreeDecomposition) -> SolveResult:
     """Standard MWIS dynamic program over a tree decomposition rooted at node 0.
 
     Tables map the independent, zero-weight-free subsets of each bag to
@@ -155,8 +155,8 @@ def solve_treewidth_dp(
     td.validate(g)
     t0 = time.perf_counter()
     for b in td.bags:
-        if b.bit_count() > bag_limit:
-            raise WidthLimitError(f"bag of size {b.bit_count()} above limit {bag_limit}")
+        if b.bit_count() > BAG_LIMIT:
+            raise WidthLimitError(f"bag of size {b.bit_count()} above limit {BAG_LIMIT}")
 
     scale, w = perturbed_weights(g)
     usable = mask_of(v for v in range(g.n) if w[v])
@@ -224,7 +224,7 @@ def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
     def rec(h: Graph) -> int:
         if h.n < BRUTE_FLOOR:
-            return int(brute_force_mwis(h, limit=max(BRUTE_FLOOR, h.n)).weight)
+            return int(brute_force_mwis(h, limit=BRUTE_FLOOR).weight)
         k = math.isqrt(h.n)
         prism = find_k_prism(h, k)
         if prism is None:
@@ -317,8 +317,6 @@ def solve(g: Graph, strategy: str = "auto", config: SolveConfig | None = None) -
     prism branching would hand it straight back to the same pipeline, which
     trips the same cap again; auto then re-raises the first trip.
     """
-    from .errors import CapacityExceededError
-
     if strategy == "bt":
         return solve_kprism_alg(g, config)
     if strategy == "subexp1":

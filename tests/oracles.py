@@ -372,14 +372,14 @@ def whole_graph_pmcs(g: Graph):
     return sorted(_sweep(g, enumerate_minimal_separators(g), 0, 0), key=lambda p: to_tuple(p.set))
 
 
-def reference_caps(g: Graph, pmcs, blocks) -> list[list[int]]:
-    """For each block (S, D): ascending indices of the PMCs Ω with
+def reference_caps(pmcs, blocks) -> list[list[int]]:
+    """For each block (D, S): ascending indices of the PMCs Ω with
     S <= Ω <= S | D, by testing every PMC against every block."""
     caps = []
-    for b in blocks:
-        hull = b.s | b.d
+    for d, s in blocks:
+        hull = s | d
         caps.append(
-            [i for i, p in enumerate(pmcs) if p.set & ~hull == 0 and b.s & ~p.set == 0]
+            [i for i, p in enumerate(pmcs) if p.set & ~hull == 0 and s & ~p.set == 0]
         )
     return caps
 
@@ -447,29 +447,28 @@ def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...
     summed over the cap's children, on LCM-scaled weights with an explicit
     witness mask per entry and the lexicographic tie-break.  Returns the
     weight and the witness."""
-    from holefree.engine import _NONE, Block, index_caps
+    from holefree.engine import _NONE, index_caps
 
     assert all(s == naive_neighborhood(g, d) for d, s in blocks)
     ordered = sorted((d for d, _ in blocks), key=lambda d: (d.bit_count(), to_tuple(d)))
-    blocks_ = [Block(d, naive_neighborhood(g, d), i) for i, d in enumerate(ordered)]
-    by_mask = {b.d: b.id for b in blocks_}
-    caps = index_caps(g, pmcs, blocks_)
+    blocks_ = [(d, naive_neighborhood(g, d)) for d in ordered]
+    by_mask = {d: j for j, (d, _) in enumerate(blocks_)}
+    caps = index_caps(pmcs, blocks_)
     scale = math.lcm(*(x.denominator for x in g.weights))
     w = [x.numerator * (scale // x.denominator) for x in g.weights]
     tables: list[dict[int, tuple[int, int]]] = []
-    top = Block(g.full_mask, 0, len(blocks_))
-    for b, cap_ids in zip(blocks_ + [top], caps + [range(len(pmcs))]):
+    for (d, s), cap_ids in zip(blocks_ + [(g.full_mask, 0)], caps + [range(len(pmcs))]):
         cap_kids = [
-            (pmcs[i].set, [tables[by_mask[c]] for c in pmcs[i].components if c & b.d])
+            (pmcs[i].set, [tables[by_mask[c]] for c in pmcs[i].components if c & d])
             for i in cap_ids
         ]
         table: dict[int, tuple[int, int]] = {}
-        for u in [_NONE, *iter_bits(b.s)]:
+        for u in [_NONE, *iter_bits(s)]:
             best = (-1, 0)
             for cap, kids in cap_kids:
                 if u == _NONE:
                     own = [(_NONE, 0, 0)] + [
-                        (t, w[t], 1 << t) for t in iter_bits(cap & b.d) if w[t] > 0
+                        (t, w[t], 1 << t) for t in iter_bits(cap & d) if w[t] > 0
                     ]
                 else:
                     own = [(u, 0, 0)]
@@ -482,7 +481,7 @@ def reference_solve_bt(g: Graph, pmcs, blocks) -> tuple[Fraction, tuple[int, ...
                         best = (value, witness)
             table[u] = best
         tables.append(table)
-    value, mask = tables[top.id][_NONE]
+    value, mask = tables[-1][_NONE]
     return Fraction(value, scale), to_tuple(mask)
 
 

@@ -230,6 +230,14 @@ def test_generate_bad_params_exit_2(capsys):
     assert main(["generate", "prism"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["chordal", "-5", "3"], ["lhf-filter", "-3", "0.5"]], ids=["chordal", "lhf-filter"]
+)
+def test_generate_negative_vertex_count_exits_2(argv, capsys):
+    assert main(["generate", *argv]) == 2
+    assert f"vertex count must be nonnegative, got {argv[1]}" in capsys.readouterr().err
+
+
 def test_json_deterministic(prism3_file, capsys):
     def run():
         main(["solve", prism3_file, "--json"])

@@ -10,7 +10,6 @@ import pytest
 import holefree.engine as engine
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.engine import (
-    Block,
     SolveConfig,
     brute_force_mwis,
     decode,
@@ -46,35 +45,34 @@ from oracles import (
 
 def _pipeline(g):
     seps = enumerate_minimal_separators(g)
-    return enumerate_pmcs(g, seps), block_family(g, seps)
+    return enumerate_pmcs(g, seps), block_family(seps)
 
 
 def _indexed_blocks(g):
     pmcs, blocks = _pipeline(g)
     assert all(s == g.neighborhood(d) for d, s in blocks)
-    ordered = sorted(blocks, key=lambda b: (b[0].bit_count(), to_tuple(b[0])))
-    return pmcs, [Block(d, s, i) for i, (d, s) in enumerate(ordered)]
+    return pmcs, sorted(blocks, key=lambda b: (b[0].bit_count(), to_tuple(b[0])))
 
 
 def test_index_caps_c4():
     g = c4()
     pmcs, blk = _indexed_blocks(g)
-    caps = index_caps(g, pmcs, blk)
-    b1 = next(b for b in blk if b.d == 1 << 1)  # block ({1}, S={0,2})
-    assert [pmcs[i].set for i in caps[b1.id]] == [mask_of([0, 1, 2])]
+    caps = index_caps(pmcs, blk)
+    b1 = blk.index((1 << 1, mask_of([0, 2])))  # block ({1}, S={0,2})
+    assert [pmcs[i].set for i in caps[b1]] == [mask_of([0, 1, 2])]
 
 
 def test_index_caps_p4_chordal():
     g = p4()
     pmcs, blk = _indexed_blocks(g)
-    caps = index_caps(g, pmcs, blk)
-    b_a = next(b for b in blk if b.d == 1 << 0)  # block ({0}, S={1})
-    assert [pmcs[i].set for i in caps[b_a.id]] == [mask_of([0, 1])]
+    caps = index_caps(pmcs, blk)
+    b_a = blk.index((1 << 0, 1 << 1))  # block ({0}, S={1})
+    assert [pmcs[i].set for i in caps[b_a]] == [mask_of([0, 1])]
 
 
 def _assert_caps_match_scan(g):
     pmcs, blk = _indexed_blocks(g)
-    assert index_caps(g, pmcs, blk) == reference_caps(g, pmcs, blk)
+    assert index_caps(pmcs, blk) == reference_caps(pmcs, blk)
 
 
 def test_index_caps_matches_scan_on_random_graphs():
@@ -102,7 +100,7 @@ def test_index_caps_matches_scan_on_prisms(k):
 def test_index_caps_k4_no_blocks():
     g = complete_graph(4)
     pmcs, blocks = _pipeline(g)
-    assert blocks == [] and index_caps(g, pmcs, []) == []
+    assert blocks == [] and index_caps(pmcs, []) == []
 
 
 def test_solve_bt_c4_unit():
@@ -135,9 +133,9 @@ def test_solve_bt_on_the_8_prism_fills_the_blocks_without_vertex_0(monkeypatch):
     seen = []
     real = engine.index_caps
 
-    def spy(g, pmcs, blocks):
+    def spy(pmcs, blocks):
         seen.extend(blocks)
-        return real(g, pmcs, blocks)
+        return real(pmcs, blocks)
 
     monkeypatch.setattr(engine, "index_caps", spy)
     g = prism_graph(8)
@@ -145,7 +143,7 @@ def test_solve_bt_on_the_8_prism_fills_the_blocks_without_vertex_0(monkeypatch):
     res = solve_bt(g, pmcs, blocks)
     assert len(blocks) == 508
     assert (res.stats.table_entries, res.stats.blocks, len(seen)) == (3429, 381, 381)
-    assert not any(b.d & 1 for b in seen)
+    assert not any(d & 1 for d, _ in seen)
 
 
 def _assert_dp_matches_reference(g):

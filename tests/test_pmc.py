@@ -21,7 +21,6 @@ from holefree.graph import Graph
 from holefree.pmc import (
     atoms,
     block_family,
-    Pmc,
     dominate_pmc,
     enumerate_pmcs,
     find_covering_component,
@@ -33,6 +32,7 @@ from holefree.pmc import (
 )
 from holefree.recognition import clique_tree, find_long_hole, is_chordal
 from holefree.separators import (
+    Separator,
     analyze_separator,
     enumerate_minimal_separators,
     extend_minimal_separators,
@@ -113,7 +113,7 @@ def test_enumerated_certificates_are_those_of_the_full_graph(random_corpus_12):
     for g in graphs:
         pmcs = enumerate_pmcs(g, enumerate_minimal_separators(g))
         assert pmcs == [is_pmc(g, p.set) for p in pmcs]
-    assert enumerate_pmcs(Graph(1), []) == [Pmc(1, (), ())]
+    assert enumerate_pmcs(Graph(1), []) == [Separator(1, (), ())]
 
 
 def test_enumerate_p4_chordal():
@@ -214,7 +214,7 @@ def _lhf_and_chordal():
 
 
 def test_atom_family_matches_whole_graph_sweep():
-    # equal as lists of Pmc: the same sets, components and neighborhoods
+    # equal as lists of records: the same sets, components and neighborhoods
     swept = 0
     for g in _lhf_and_chordal():
         seps = enumerate_minimal_separators(g)
@@ -475,7 +475,7 @@ def test_chordal_pmcs_equal_clique_tree_bags(chordal_corpus_50):
 
 def test_block_family_c4():
     g = c4()
-    blocks = block_family(g, enumerate_minimal_separators(g))
+    blocks = block_family(enumerate_minimal_separators(g))
     assert sorted(d for d, _ in blocks) == [1 << 0, 1 << 1, 1 << 2, 1 << 3]
     assert blocks == [
         (1 << 1, mask_of([0, 2])),
@@ -487,7 +487,7 @@ def test_block_family_c4():
 
 def test_block_family_p4():
     g = p4()
-    blocks = block_family(g, enumerate_minimal_separators(g))
+    blocks = block_family(enumerate_minimal_separators(g))
     assert {d for d, _ in blocks} == {1 << 0, mask_of([2, 3]), mask_of([0, 1]), 1 << 3}
     assert set(blocks) == {
         (1 << 0, 1 << 1),
@@ -500,7 +500,7 @@ def test_block_family_p4():
 
 def test_block_family_k4_empty():
     g = complete_graph(4)
-    assert block_family(g, enumerate_minimal_separators(g)) == []
+    assert block_family(enumerate_minimal_separators(g)) == []
 
 
 def test_covering_component_c4():

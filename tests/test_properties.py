@@ -14,7 +14,12 @@ from holefree.bits import canonical_key, iter_bits, to_tuple  # noqa: E402
 from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
 from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
-from holefree.separators import analyze_separator, enumerate_minimal_separators  # noqa: E402
+from holefree.separators import (  # noqa: E402
+    absorb_last_vertex,
+    add_last_vertex,
+    analyze_separator,
+    enumerate_minimal_separators,
+)
 
 from oracles import brute_force_minimal_separators, brute_force_pmcs, exhaustive_mwis  # noqa: E402
 
@@ -57,6 +62,19 @@ def test_every_seed_and_move_candidate_is_a_minimal_separator(g):
 
 @derandomized
 @hypothesis.given(graphs(), st.data())
+def test_lifted_records_equal_the_flooded_ones(g, data):
+    # the record of X in g - a, a the last vertex and X any set avoiding it,
+    # lifts without a flood to the records of X and of X + a in g
+    hypothesis.assume(g.n >= 1)
+    a = 1 << (g.n - 1)
+    x = data.draw(st.integers(0, a - 1))
+    rec = analyze_separator(g.prefix(g.n - 1), x)
+    assert absorb_last_vertex(g, rec) == analyze_separator(g, x)
+    assert add_last_vertex(g, rec) == analyze_separator(g, x | a)
+
+
+@derandomized
+@hypothesis.given(graphs(), st.data())
 def test_cut_certificates_equal_the_flooded_ones(g, data):
     # S | X from S's record, for S in Δ(g), X a nonempty subset of one
     # component of g - S: the same verdict and record as a whole-graph flood
@@ -83,7 +101,7 @@ def test_canonical_key_sorts_as_to_tuple(masks):
 def test_blocks_are_all_components_with_their_neighborhoods(g):
     # every component of g - S, S in Δ(g), is a full component of N(C), so
     # the full components with N(D) = S from the records are all of them
-    blocks = block_family(g, enumerate_minimal_separators(g))
+    blocks = block_family(enumerate_minimal_separators(g))
     every = {c for s in brute_force_minimal_separators(g) for c in s.components}
     assert {d for d, _ in blocks} == every and len(blocks) == len(every)
     assert all(s == g.neighborhood(d) for d, s in blocks)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import holefree.solvers as solvers
 from holefree.bits import mask_of
 from holefree.engine import SolveConfig, brute_force_mwis, solve_mwis
 from holefree.errors import (
@@ -241,11 +242,12 @@ def test_treewidth_dp_k4_single_bag():
     assert solve_treewidth_dp(g, td).weight == 4
 
 
-def test_treewidth_dp_bag_limit():
+def test_treewidth_dp_bag_limit(monkeypatch):
     g = complete_graph(5)
     td = TreeDecomposition((g.full_mask,), ())
+    monkeypatch.setattr(solvers, "BAG_LIMIT", 4)
     with pytest.raises(WidthLimitError):
-        solve_treewidth_dp(g, td, bag_limit=4)
+        solve_treewidth_dp(g, td)
 
 
 def test_treewidth_dp_random_sweep():
