@@ -139,7 +139,7 @@ def cmd_analyze(args) -> int:
     g = _load(args.graph)
     t0 = time.perf_counter()
     minseps = enumerate_minimal_separators(g, cap=args.cap_seps)
-    pmcs = enumerate_pmcs(g, minseps, cap=args.cap_pmcs, cap_seps=args.cap_seps)
+    pmcs = enumerate_pmcs(g, minseps, cap=args.cap_pmcs)
     prism = largest_prism(g, args.max_k)
     # the graph is (prism+1)-prism-free, which bounds the separator count
     free_k = prism + 1
@@ -152,16 +152,13 @@ def cmd_analyze(args) -> int:
         sizes[key] = sizes.get(key, 0) + 1
     bal = None
     if g.n > 0 and g.is_connected() and g.total_weight() > 0:
-        try:
-            b = balanced_separator(g)
-            bal = {
-                "bag_size": b.bag.bit_count(),
-                "z_size": len(b.z),
-                "sep_size": b.separator.bit_count(),
-                "bound": 3 * (g.max_degree() + 1),
-            }
-        except (WitnessNotFoundError, NoDominationError):
-            bal = None
+        b = balanced_separator(g)
+        bal = {
+            "bag_size": b.bag.bit_count(),
+            "z_size": len(b.z),
+            "sep_size": b.separator.bit_count(),
+            "bound": 3 * (g.max_degree() + 1),
+        }
     analysis = {
         "minseps": len(minseps),
         "minsep_bound": bound,
@@ -211,11 +208,9 @@ def cmd_generate(args) -> int:
             raise ValueError(f"edge probability must lie in [0, 1], got {p}")
         g = lhf_filter(n, p, rng, max_tries=args.max_tries)
         provenance.append(f"n={n} p={p}")
-    elif args.family == "complement-of":
+    else:  # complement-of; argparse's choices admit no other family
         g = _load(args.params[0]).complement()
         provenance.append(f"source={args.params[0]}")
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     text = emit_graph(g, comments=provenance)
     if args.out:
         Path(args.out).write_text(text)

@@ -247,7 +247,7 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
             continue
         sub, vmap = g.induced(comp)
         minseps = enumerate_minimal_separators(sub, cap=cfg.cap_seps)
-        pmcs = enumerate_pmcs(sub, minseps, cap=cfg.cap_pmcs, cap_seps=cfg.cap_seps)
+        pmcs = enumerate_pmcs(sub, minseps, cap=cfg.cap_pmcs)
         blocks = block_family(minseps)
         res = solve_bt(sub, pmcs, blocks)
         stats.merge(res.stats)

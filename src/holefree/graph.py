@@ -24,7 +24,10 @@ from collections.abc import Iterable
 from .bits import iter_bits, to_tuple
 from .errors import GraphFormatError
 
-Weight = Fraction
+# The most vertices a header may declare, as parsing builds a row per vertex.
+# One flood of an edgeless graph costs order n^2 bit operations: over a
+# second at 2^16 vertices, minutes here, far past any graph a command finishes.
+MAX_VERTICES = 1 << 20
 
 
 class Graph:
@@ -278,6 +281,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("malformed header, expected integer sizes", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("header sizes must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(f"header declares {n} vertices, limit {MAX_VERTICES}", lineno)
         elif tag == "w":
             if n is None:
                 raise GraphFormatError("weight line before header", lineno)

@@ -211,9 +211,7 @@ def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
     return parts
 
 
-def enumerate_pmcs(
-    g: Graph, minseps: list[Separator], cap: int = 0, cap_seps: int = 0
-) -> list[Separator]:
+def enumerate_pmcs(g: Graph, minseps: list[Separator], cap: int = 0) -> list[Separator]:
     """The complete, canonically sorted PMC family of g.
 
     The enumeration first splits g into its :func:`atoms` along the
@@ -227,15 +225,16 @@ def enumerate_pmcs(
     once on g, so it carries its components and neighborhoods in g.  When
     g is a single atom, it is swept in place with ``minseps``.
 
-    ``cap`` bounds every prefix family of every sweep and the union, and
-    ``cap_seps`` bounds the minimal separators of every prefix graph and
-    of every swept atom; over either, CapacityExceededError.  The result
-    is checked against ``minseps``: the neighborhood of each component
-    left by a PMC must be in it.
+    ``cap`` bounds every prefix family of every sweep and the union; over
+    it, CapacityExceededError.  A cap on ``minseps`` = Δ(g) bounds every
+    separator family built here: Δ of an atom lies in Δ(g) (Berry et al.
+    2010), and |Δ(G_i)| grows with i (:func:`_sweep`).  The result is
+    checked against ``minseps``: the neighborhood of each component left
+    by a PMC must be in it.
     """
     parts = atoms(g, minseps)
     if len(parts) == 1:
-        family = _sweep(g, minseps, cap, cap_seps)
+        family = _sweep(g, minseps, cap)
     else:
         sets: list[int] = []
         for atom in parts:
@@ -243,7 +242,7 @@ def enumerate_pmcs(
                 sets.append(atom)
                 continue
             h, vmap = g.induced(atom)
-            for pmc in _sweep(h, enumerate_minimal_separators(h, cap=cap_seps), cap, cap_seps):
+            for pmc in _sweep(h, enumerate_minimal_separators(h), cap):
                 sets.append(mask_of(vmap[v] for v in iter_bits(pmc.set)))
         if cap and len(sets) > cap:
             raise CapacityExceededError("potential maximal cliques", cap, len(sets))
@@ -261,7 +260,7 @@ def enumerate_pmcs(
     return sorted(family, key=lambda p: canonical_key(p.set))
 
 
-def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[Separator]:
+def _sweep(g: Graph, minseps: list[Separator], cap: int) -> list[Separator]:
     """The PMCs of g, certified on g, by a sweep over its prefix graphs
     G_1..G_n that ends with the minimal separators ``minseps`` of g.
 
@@ -297,12 +296,13 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     this leaves no candidate whose certificate fails.
 
     Δ(G') is carried over from Δ(G)
-    (:func:`~holefree.separators.extend_minimal_separators`, under
-    ``cap_seps``): each S in Δ(G) lifts to S if it stays minimal and to
-    S | a if two of its full components meet N(a), and the separators that
-    avoid a with a in a full component are the minimal a,b-separators of
-    Kloks & Kratsch (SIAM J. Comput. 1998), closed from N[a].  Δ(G') is
-    the T list of the next step, and ``minseps`` that of the final step.
+    (:func:`~holefree.separators.extend_minimal_separators`): each S in
+    Δ(G) lifts to S if it stays minimal and to S | a if two of its full
+    components meet N(a), and the separators that avoid a with a in a full
+    component are the minimal a,b-separators of Kloks & Kratsch (SIAM J.
+    Comput. 1998), closed from N[a].  Δ(G') is the T list of the next
+    step, and ``minseps`` that of the final step.  Distinct S lift to
+    distinct sets, so no Δ(G_i) is larger than ``minseps``.
     G_n is g, so the certificates of the final step are returned as they
     are.  A prefix family over ``cap`` raises CapacityExceededError.
     """
@@ -313,7 +313,7 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int, cap_seps: int) -> list[
     for i in range(2, g.n + 1):
         gi = g.prefix(i)
         a = 1 << (i - 1)
-        seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i, cap=cap_seps)
+        seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i)
         seps_now = {s.set: s for s in seps_i}
         kept: dict[int, Separator] = {}
         tested: set[int] = set()

@@ -175,10 +175,10 @@ def add_last_vertex(g: Graph, rec: Separator) -> Separator:
     return Separator(rec.set | bit, rec.components, nbrs)
 
 
-def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> list[Separator]:
+def extend_minimal_separators(g: Graph, prev: list[Separator]) -> list[Separator]:
     """All minimal separators of g from ``prev``, those of g minus its last
     vertex a, canonically sorted; the same list as
-    :func:`enumerate_minimal_separators` on g, with the same cap.
+    :func:`enumerate_minimal_separators` on g.
 
     Each S in ``prev`` gives S if it is still minimal in g, and S + a if
     two or more of its old full components meet N(a); both can hold.  The
@@ -192,24 +192,21 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
     of S without a.  The move that takes D to be b's component brings S
     one vertex x closer to any minimal a,b-separator T with S inside
     C_a(T) | T, so every T is reached from the seed on b's side.  Every
-    candidate is validated from the D or C that produced it, as in
-    :func:`enumerate_minimal_separators`, depth-first like it, and kept
-    only if a lies in a full component.  As there, each region is flooded
-    once: a repeat would find every N(C) in ``seen`` already.
+    candidate is N(D) for a component D of g - N[a] or of C - N(x), so it
+    is minimal by the lemma of :func:`enumerate_minimal_separators`; its
+    record is built from D, depth-first as there, and kept only if a lies
+    in a full component.  As there, each region is flooded once: a repeat
+    would find every N(C) in ``seen`` already.  No cap is checked: distinct
+    S give distinct lifts, so g has as many minimal separators as g - a or
+    more (Bouchitté & Todinca, TCS 2002).
     """
     bit = 1 << (g.n - 1)
     adj_a = g.adj[-1]
     found: dict[int, Separator] = {}
-
-    def add(sep: Separator) -> None:
-        found[sep.set] = sep
-        if cap and len(found) > cap:
-            raise CapacityExceededError("minimal separators", cap, len(found))
-
     for old in prev:
         for sep in (absorb_last_vertex(g, old), add_last_vertex(g, old)):
             if sep.is_minimal:
-                add(sep)
+                found[sep.set] = sep
 
     seen: set[int] = set()
     stack: list[Separator] = []
@@ -234,8 +231,8 @@ def extend_minimal_separators(g: Graph, prev: list[Separator], cap: int = 0) -> 
                 continue
             seen.add(nb)
             sep = found.get(nb) or _separator_of_component(g, comp, nb)
-            if sep.is_minimal and any(sep.components[j] & bit for j in sep.full):
-                add(sep)
+            if any(sep.components[j] & bit for j in sep.full):
+                found[nb] = sep
                 stack.append(sep)
 
     return sorted(found.values(), key=lambda s: canonical_key(s.set))

@@ -269,7 +269,7 @@ def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
     def rec(h: Graph) -> int:
         if h.n <= 2:
-            return int(brute_force_mwis(h, limit=2).weight)
+            return int(brute_force_mwis(h).weight)
         tau = math.ceil(math.sqrt(h.n * math.log(h.n)))
         v = max(range(h.n), key=lambda u: (h.degree(u), -u))
         if h.degree(v) >= tau:

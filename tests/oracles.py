@@ -369,7 +369,7 @@ def whole_graph_pmcs(g: Graph):
     from holefree.pmc import _sweep
     from holefree.separators import enumerate_minimal_separators
 
-    return sorted(_sweep(g, enumerate_minimal_separators(g), 0, 0), key=lambda p: to_tuple(p.set))
+    return sorted(_sweep(g, enumerate_minimal_separators(g), 0), key=lambda p: to_tuple(p.set))
 
 
 def reference_caps(pmcs, blocks) -> list[list[int]]:

@@ -172,20 +172,35 @@ def test_analyze_k4(tmp_path, capsys):
     assert analysis["minseps"] == 0 and analysis["pmcs"] == 1
 
 
-def test_analyze_forwards_cap_seps_to_prefix_graphs(prism3_file, capsys, monkeypatch):
-    import holefree.pmc as pmc
+def test_analyze_cap_seps_is_exact_on_the_8_prism(tmp_path, capsys):
+    # the 8-prism has 2^8 - 2 = 254 minimal separators; the cap is checked
+    # on those of the whole graph only, as no prefix graph has more
+    f = tmp_path / "p8.gr"
+    f.write_text(emit_graph(prism_graph(8)))
+    assert main(["analyze", str(f), "--cap-seps", "254", "--json"]) == 0
+    assert _json_out(capsys)["analysis"]["minseps"] == 254
+    assert main(["analyze", str(f), "--cap-seps", "253", "--json"]) == 3
+    assert capsys.readouterr().err == "error: minimal separators: cap 253 exceeded (254 found so far)\n"
 
-    caps = []
-    real = pmc.extend_minimal_separators
 
-    def recording(g, prev, cap=0):
-        caps.append(cap)
-        return real(g, prev, cap=cap)
+def test_solve_cap_pmcs_is_exact_on_the_6_prism(tmp_path, capsys):
+    f = tmp_path / "p6.gr"
+    f.write_text(emit_graph(prism_graph(6)))
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-pmcs", "191"]) == 3
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-pmcs", "192", "--json"]) == 0
+    assert _json_out(capsys)["stats"]["pmcs"] == 192
 
-    monkeypatch.setattr(pmc, "extend_minimal_separators", recording)
-    assert main(["analyze", prism3_file, "--cap-seps", "50", "--json"]) == 0
-    assert _json_out(capsys)["analysis"]["pmcs"] == 12
-    assert caps and set(caps) == {50}
+
+def test_solve_rejects_a_header_above_the_vertex_limit(tmp_path, capsys, monkeypatch):
+    import holefree.graph
+
+    monkeypatch.setattr(holefree.graph, "MAX_VERTICES", 3)
+    f = tmp_path / "big.gr"
+    f.write_text("p mwis 4 0\n")
+    assert main(["solve", str(f)]) == 2
+    assert capsys.readouterr().err == "error: line 1: header declares 4 vertices, limit 3\n"
+    f.write_text("p mwis 3 0\n")
+    assert main(["solve", str(f)]) == 0
 
 
 def test_generate_prism4(tmp_path, capsys):

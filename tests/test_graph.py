@@ -8,7 +8,7 @@ import pytest
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import GraphFormatError
 from holefree.families import cycle_graph, complete_graph, er_graph, star_graph
-from holefree.graph import Graph, emit_graph, format_weight, parse_graph
+from holefree.graph import MAX_VERTICES, Graph, emit_graph, format_weight, parse_graph
 
 from oracles import c4, naive_components, naive_neighborhood, p4
 
@@ -123,20 +123,62 @@ def test_parse_out_of_range_reports_line():
     assert err.value.line == 2
 
 
+# text -> (message, line), one case per GraphFormatError branch
+MALFORMED = {
+    "p mwis 1 0\np mwis 1 0\n": ("duplicate header", 2),
+    "p mwis 1\n": ("malformed header, expected 'p mwis <n> <m>'", 1),
+    "p mwis x 1\n": ("malformed header, expected integer sizes", 1),
+    "p mwis -1 0\n": ("header sizes must be nonnegative", 1),
+    "w 1 2\n": ("weight line before header", 1),
+    "p mwis 1 0\nw 1\n": ("malformed weight line, expected 'w <v> <weight>'", 2),
+    "p mwis 1 0\nw 1 x\n": ("malformed weight line", 2),
+    "p mwis 1 0\nw 1 1/0\n": ("malformed weight line", 2),
+    "p mwis 1 0\nw 2 1\n": ("vertex 2 out of range 1..1", 2),
+    "p mwis 1 0\nw 1 -2\n": ("negative weight", 2),
+    "p mwis 1 0\nw 1 1\nw 1 2\n": ("duplicate weight for vertex 1", 3),
+    "e 1 2\n": ("edge line before header", 1),
+    "p mwis 2 1\ne 1\n": ("malformed edge line, expected 'e <u> <v>'", 2),
+    "p mwis 2 1\ne 1 x\n": ("malformed edge line", 2),
+    "p mwis 2 1\ne 0 1\n": ("vertex 0 out of range 1..2", 2),
+    "p mwis 2 1\ne 1 1\n": ("self-loop at vertex 1", 2),
+    "p mwis 2 2\ne 1 2\ne 2 1\n": ("duplicate edge 2 1", 3),
+    "p mwis 1 0\nx 1\n": ("unknown directive 'x'", 2),
+    "# no header\n": ("missing 'p mwis <n> <m>' header", 1),
+    "": ("missing 'p mwis <n> <m>' header", None),
+    "p mwis 2 0\ne 1 2\n": ("header declares 0 edges but 1 given", 2),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_rejects_malformed(text):
+    message, line = MALFORMED[text]
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_rejects_a_vertex_count_above_the_limit():
+    # rejected on the header line, before any per-vertex row is built
+    n = MAX_VERTICES + 1
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"p mwis {n} 0\n")
+    assert str(err.value) == f"line 1: header declares {n} vertices, limit {MAX_VERTICES}"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "args, message",
     [
-        "e 1 2\n",  # missing header
-        "p mwis x 1\n",  # malformed header
-        "p mwis 2 2\ne 1 2\ne 2 1\n",  # duplicate edge
-        "p mwis 2 1\ne 1 1\n",  # self loop
-        "p mwis 1 0\nw 1 -2\n",  # negative weight
-        "p mwis 2 0\ne 1 2\n",  # edge count mismatch
+        ((2, [(0, 2)]), "edge (0, 2) out of range for n=2"),
+        ((2, [(1, 1)]), "self-loop at vertex 1"),
+        ((2, [], [1]), "need exactly one weight per vertex"),
+        ((2, [], [1, -1]), "weights must be nonnegative"),
     ],
 )
-def test_parse_rejects_malformed(text):
-    with pytest.raises(GraphFormatError):
-        parse_graph(text)
+def test_graph_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError) as err:
+        Graph(*args)
+    assert str(err.value) == message
 
 
 def test_roundtrip_corpus():

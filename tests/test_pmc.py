@@ -436,18 +436,15 @@ def test_prefix_steps_match_on_prisms(k):
     _assert_rule_two_certificates(g)
 
 
-def test_prefix_cap_trip_matches_enumeration():
-    g = prism_graph(5)
-    sizes = [len(enumerate_minimal_separators(g.prefix(i))) for i in range(1, g.n + 1)]
-    # a cap below |Δ(G_{n-1})| trips at a prefix step, before the final one
-    for cap in range(1, sizes[-2]):
-        first = next(i for i in range(1, g.n + 1) if sizes[i - 1] > cap)
-        with pytest.raises(CapacityExceededError) as expected:
-            enumerate_minimal_separators(g.prefix(first), cap=cap)
-        with pytest.raises(CapacityExceededError) as got:
-            enumerate_pmcs(g, enumerate_minimal_separators(g), cap_seps=cap)
-        assert str(got.value) == str(expected.value)
-        assert got.value.count == cap + 1
+def test_pmc_cap_trips_at_a_prefix_step():
+    # the 6-prism is one atom with 192 PMCs, and its prefix families pass
+    # 80 at 81 PMCs, so a cap of 80 trips inside the sweep
+    g = prism_graph(6)
+    minseps = enumerate_minimal_separators(g)
+    with pytest.raises(CapacityExceededError) as err:
+        enumerate_pmcs(g, minseps, cap=80)
+    assert str(err.value) == "potential maximal cliques: cap 80 exceeded (81 found so far)"
+    assert len(enumerate_pmcs(g, minseps, cap=192)) == 192
 
 
 def test_every_emitted_pmc_passes_test(random_corpus_12):

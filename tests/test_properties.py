@@ -10,10 +10,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from holefree.bits import canonical_key, iter_bits, to_tuple  # noqa: E402
+from holefree.bits import canonical_key, iter_bits, mask_of, to_tuple  # noqa: E402
 from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
-from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
+from holefree.pmc import atoms, block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
 from holefree.separators import (  # noqa: E402
     absorb_last_vertex,
     add_last_vertex,
@@ -45,6 +45,23 @@ def weighted_graphs(draw, weights=st.integers(min_value=0, max_value=9)):
 def test_incremental_pmcs_equal_bruteforce_with_certificates(g):
     incremental = enumerate_pmcs(g, enumerate_minimal_separators(g))
     assert incremental == brute_force_pmcs(g)
+
+
+@derandomized
+@hypothesis.given(graphs())
+def test_no_prefix_or_atom_has_more_minimal_separators_than_g(g):
+    # why a cap on Δ(g) bounds every separator family of the PMC sweep:
+    # |Δ(G_i)| never falls as i grows (each S of G_{i-1} lifts to S or
+    # S + a in Δ(G_i), injectively), and Δ of an atom lies in Δ(g)
+    sizes = [len(enumerate_minimal_separators(g.prefix(i))) for i in range(g.n + 1)]
+    assert sizes == sorted(sizes)
+    minseps = enumerate_minimal_separators(g)
+    known = {s.set for s in minseps}
+    for atom in atoms(g, minseps):
+        if not g.is_clique(atom):
+            h, vmap = g.induced(atom)
+            for s in enumerate_minimal_separators(h):
+                assert mask_of(vmap[v] for v in iter_bits(s.set)) in known
 
 
 @derandomized

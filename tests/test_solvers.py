@@ -82,6 +82,17 @@ def test_subexp1_branches_on_large_prism():
     assert res.stats.branches > 0
 
 
+def test_subexp1_runs_the_pipeline_on_a_prism_free_residue():
+    rng = random.Random(1)
+    g = random_chordal(30, 60, rng)
+    g = g.with_weights([rng.randint(0, 9) for _ in range(g.n)])
+    assert find_k_prism(g, 5) is None  # so the first leaf is the pipeline
+    got = solve_subexp1(g)
+    want = solve_kprism_alg(g)
+    assert (got.weight, got.vertices) == (want.weight, want.vertices)
+    assert got.stats.branches == 0 and got.stats.pmcs > 0
+
+
 def test_subexp1_oracle_sweep(lhf_corpus_16):
     # both strategies return the canonical witness, not just the weight
     for g in lhf_corpus_16[:25]:
