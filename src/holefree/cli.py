@@ -144,10 +144,15 @@ def cmd_analyze(args) -> int:
     # the graph is (prism+1)-prism-free, which bounds the separator count
     free_k = prism + 1
     bound = g.n ** (free_k + 2)
-    histogram = {"single-vertex": 0, "lemma-chain": 0, "brute-fallback": 0}
+    # "none": no 3-set dominates the PMC, which only an input outside the
+    # class can show; data, like verify's verdicts
+    histogram = {"single-vertex": 0, "lemma-chain": 0, "brute-fallback": 0, "none": 0}
     sizes: dict[str, int] = {}
     for p in pmcs:
-        histogram[dominate_pmc(g, p).method] += 1
+        try:
+            histogram[dominate_pmc(g, p).method] += 1
+        except NoDominationError:
+            histogram["none"] += 1
         key = str(p.set.bit_count())
         sizes[key] = sizes.get(key, 0) + 1
     bal = None
@@ -189,7 +194,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+GENERATE_PARAMS = {
+    "prism": ("k",),
+    "chordal": ("n", "m"),
+    "lhf-filter": ("n", "p"),
+    "complement-of": ("file",),
+}
+
+
 def cmd_generate(args) -> int:
+    names = GENERATE_PARAMS[args.family]
+    if len(args.params) != len(names):
+        raise ValueError(
+            f"{args.family} takes {len(names)} parameter{'s' * (len(names) > 1)} "
+            f"({' '.join(names)}), got {len(args.params)}"
+        )
     rng = random.Random(args.seed)
     provenance = [f"holefree generate {args.family} seed={args.seed}"]
     if args.family == "prism":
@@ -273,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="write instance files")
-    p_gen.add_argument("family", choices=["prism", "chordal", "lhf-filter", "complement-of"])
+    p_gen.add_argument("family", choices=GENERATE_PARAMS)
     p_gen.add_argument("params", nargs="*")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--max-tries", type=_count, default=200)
@@ -299,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, IndexError, FileNotFoundError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

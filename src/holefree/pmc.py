@@ -15,10 +15,8 @@ holds all but a part of the components, so the sweep never floods the
 whole of G': Ω or Ω + a needs no test (:func:`lift_pmc`), S + a for an S
 of G tests a's row only (:func:`lift_separator`), and S | X, for X inside
 a component C of a minimal separator S of G', floods C - X and tests X's
-rows only (:func:`cut_pmc`).  The minimal separators of G' are those of G
-lifted (S, or S + a) plus the minimal a,b-separators that keep a in a full
-component, generated as by Kloks & Kratsch ("Listing all minimal
-separators of a graph", SIAM J. Comput. 1998).  S | (T & C) is certified
+rows only (:func:`cut_pmc`).  The minimal separators of every prefix
+graph are read off those of the whole graph.  S | (T & C) is certified
 only once a test on adjacency rows has not ruled it out.
 
 The sweep runs once per atom of the clique minimal separator
@@ -51,7 +49,7 @@ from .separators import (
     add_last_vertex,
     analyze_separator,
     enumerate_minimal_separators,
-    extend_minimal_separators,
+    prefix_separators,
 )
 
 
@@ -228,9 +226,13 @@ def enumerate_pmcs(g: Graph, minseps: list[Separator], cap: int = 0) -> list[Sep
     ``cap`` bounds every prefix family of every sweep and the union; over
     it, CapacityExceededError.  A cap on ``minseps`` = Δ(g) bounds every
     separator family built here: Δ of an atom lies in Δ(g) (Berry et al.
-    2010), and |Δ(G_i)| grows with i (:func:`_sweep`).  The result is
-    checked against ``minseps``: the neighborhood of each component left
-    by a PMC must be in it.
+    2010), and |Δ(G_i)| grows with i (:func:`_sweep`).
+
+    ``minseps`` must be all of Δ(g): the atoms are read off it, and so is
+    every prefix family of the sweep when g is one atom.  The result is
+    checked against it: the neighborhood of each component left by a PMC
+    must be in it.  That catches an omission only when some returned PMC
+    exposes it; otherwise a smaller family comes back.
     """
     parts = atoms(g, minseps)
     if len(parts) == 1:
@@ -295,25 +297,21 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int) -> list[Separator]:
     C - (T & C) may not end a nonedge that has an end in T & C.  On prisms
     this leaves no candidate whose certificate fails.
 
-    Δ(G') is carried over from Δ(G)
-    (:func:`~holefree.separators.extend_minimal_separators`): each S in
-    Δ(G) lifts to S if it stays minimal and to S | a if two of its full
-    components meet N(a), and the separators that avoid a with a in a full
-    component are the minimal a,b-separators of Kloks & Kratsch (SIAM J.
-    Comput. 1998), closed from N[a].  Δ(G') is the T list of the next
-    step, and ``minseps`` that of the final step.  Distinct S lift to
-    distinct sets, so no Δ(G_i) is larger than ``minseps``.
-    G_n is g, so the certificates of the final step are returned as they
-    are.  A prefix family over ``cap`` raises CapacityExceededError.
+    Every Δ(G_i) is read top-down off ``minseps`` = Δ(G_n) before the
+    first step (:func:`~holefree.separators.prefix_separators`).  Each T
+    in Δ(G) gives T or T + a in Δ(G'), so no Δ(G_i) is larger than
+    ``minseps``.  G_n is g, so the certificates of the final step are
+    returned as they are.  A prefix family over ``cap`` raises
+    CapacityExceededError.
     """
     # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
     family: dict[int, Separator] = {1: Separator(1, (), ())} if g.n else {}
-    seps_i: list[Separator] = []
+    chain = prefix_separators(g, minseps)
     prev_seps: dict[int, Separator] = {}  # the minimal separators of G_{i-1}
     for i in range(2, g.n + 1):
         gi = g.prefix(i)
         a = 1 << (i - 1)
-        seps_i = minseps if i == g.n else extend_minimal_separators(gi, seps_i)
+        seps_i = chain[i - 1]
         seps_now = {s.set: s for s in seps_i}
         kept: dict[int, Separator] = {}
         tested: set[int] = set()

@@ -1,20 +1,19 @@
 """Minimal-separator machinery.
 
-Separator records, the complete close-neighborhood enumeration and its
-one-more-vertex update.
+Separator records, the complete close-neighborhood enumeration, and the
+minimal separators of each prefix graph read off those of the whole.
 
 A record holds the components of g minus its set and their
 neighborhoods; the full components are those whose neighborhood is the
 whole set.  The same record is the certificate of a potential maximal
-clique (:mod:`holefree.pmc`).  Both enumerations generate every
-candidate as N(C) for a component C that a flood has just returned.
-Such a C is connected with N(C) the candidate itself, so it
-is a component of g minus the candidate, and a full one; its record
-floods only the rest of the graph.  The complete enumeration is a
-closure on bare sets that maps each N(C) to its C; it builds the records
-only once the closure is complete, so a cap trip builds none.  A region
-of either closure depends only on a set, and many come back; each is
-flooded once.
+clique (:mod:`holefree.pmc`).  The enumeration generates every candidate
+as N(C) for a component C that a flood has just returned.  Such a C is
+connected with N(C) the candidate itself, so it is a component of g minus
+the candidate, and a full one; its record floods only the rest of the
+graph.  The enumeration is a closure on bare sets that maps each N(C) to
+its C; it builds the records only once the closure is complete, so a cap
+trip builds none.  A region of the closure depends only on a set, and
+many come back; each is flooded once.
 """
 
 from __future__ import annotations
@@ -175,64 +174,46 @@ def add_last_vertex(g: Graph, rec: Separator) -> Separator:
     return Separator(rec.set | bit, rec.components, nbrs)
 
 
-def extend_minimal_separators(g: Graph, prev: list[Separator]) -> list[Separator]:
-    """All minimal separators of g from ``prev``, those of g minus its last
-    vertex a, canonically sorted; the same list as
-    :func:`enumerate_minimal_separators` on g.
+def drop_last_vertex(g: Graph, rec: Separator) -> Separator:
+    """The record of X - a in g minus its last vertex a, from ``rec``, that
+    of X in g.
 
-    Each S in ``prev`` gives S if it is still minimal in g, and S + a if
-    two or more of its old full components meet N(a); both can hold.  The
-    records of both follow from that of S in g - a, by
-    :func:`absorb_last_vertex` and :func:`add_last_vertex`, without a flood.
-    The rest avoid a and have a in a full component: they are the minimal
-    a,b-separators over all b, listed as by Kloks & Kratsch ("Listing all
-    minimal separators of a graph", SIAM J. Comput. 1998).  The seeds are
-    N(C) for the components C of g - N[a], and a separator S moves to N(D)
-    for each x in S and each component D of C - N(x), C a full component
-    of S without a.  The move that takes D to be b's component brings S
-    one vertex x closer to any minimal a,b-separator T with S inside
-    C_a(T) | T, so every T is reached from the seed on b's side.  Every
-    candidate is N(D) for a component D of g - N[a] or of C - N(x), so it
-    is minimal by the lemma of :func:`enumerate_minimal_separators`; its
-    record is built from D, depth-first as there, and kept only if a lies
-    in a full component.  As there, each region is flooded once: a repeat
-    would find every N(C) in ``seen`` already.  No cap is checked: distinct
-    S give distinct lifts, so g has as many minimal separators as g - a or
-    more (Bouchitté & Todinca, TCS 2002).
+    With a in X the components are the same, in the same order, and their
+    neighborhoods lose a.  Otherwise only the component C_a that holds a
+    changes: it splits into the components of C_a - a, flooded here, whose
+    neighborhoods lose a; every component goes in at its canonical place.
     """
     bit = 1 << (g.n - 1)
-    adj_a = g.adj[-1]
-    found: dict[int, Separator] = {}
-    for old in prev:
-        for sep in (absorb_last_vertex(g, old), add_last_vertex(g, old)):
-            if sep.is_minimal:
-                found[sep.set] = sep
+    if rec.set & bit:
+        nbrs = tuple(nb & ~bit for nb in rec.neighborhoods)
+        return Separator(rec.set & ~bit, rec.components, nbrs)
+    pairs = [p for p in zip(rec.components, rec.neighborhoods) if not p[0] & bit]
+    for comp in rec.components:
+        if comp & bit:
+            pairs += [(c, nb & ~bit) for c, nb in g.flood(comp ^ bit)]
+    pairs.sort(key=lambda p: p[0] & -p[0])
+    return Separator(rec.set, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
-    seen: set[int] = set()
-    stack: list[Separator] = []
-    flooded: set[int] = set()
 
-    def regions():
-        # as in enumerate_minimal_separators: the seed, then the moves
-        yield g.full_mask & ~(adj_a | bit)
-        while stack:
-            sep = stack.pop()
-            for comp, nb in zip(sep.components, sep.neighborhoods):
-                if nb == sep.set and not comp & bit:
-                    for x in iter_bits(sep.set):
-                        yield comp & ~g.adj[x]
+def prefix_separators(g: Graph, minseps: list[Separator]) -> list[list[Separator]]:
+    """Δ(G_i), canonically sorted, at index i - 1 for each prefix graph
+    G_i = g.prefix(i), from ``minseps`` = Δ(g); each the same list as
+    :func:`enumerate_minimal_separators` on G_i.
 
-    for region in regions():
-        if region in flooded:
-            continue
-        flooded.add(region)
-        for comp, nb in g.flood(region):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            sep = found.get(nb) or _separator_of_component(g, comp, nb)
-            if any(sep.components[j] & bit for j in sep.full):
-                found[nb] = sep
-                stack.append(sep)
-
-    return sorted(found.values(), key=lambda s: canonical_key(s.set))
+    Each minimal separator T of G - a, a the last vertex of G, gives T or
+    T + a in Δ(G) (Bouchitté & Todinca, TCS 2002).  So Δ(G - a) is the
+    sets S - a, S in Δ(G), that are minimal in G - a, and the chain is read
+    from Δ(g) down, one :func:`drop_last_vertex` per distinct S - a.  Both
+    S and S + a give S, and the record of a set in a graph is unique.
+    """
+    chain = [minseps] if g.n else []
+    for i in range(g.n, 1, -1):
+        gi = g.prefix(i)
+        bit = 1 << (i - 1)
+        found: dict[int, Separator] = {}
+        for sep in chain[-1]:
+            if sep.set & ~bit not in found:
+                found[sep.set & ~bit] = drop_last_vertex(gi, sep)
+        level = [s for s in found.values() if s.is_minimal]
+        chain.append(sorted(level, key=lambda s: canonical_key(s.set)))
+    return chain[::-1]

@@ -1,13 +1,14 @@
 """Command-line interface: outputs, exit codes, JSON determinism."""
 
 import json
+import random
 
 import pytest
 
 from holefree import cli
 from holefree.cli import main
 from holefree.errors import PreconditionError
-from holefree.families import cycle_graph, path_graph, prism_graph
+from holefree.families import cycle_graph, er_graph, path_graph, prism_graph
 from holefree.graph import Graph, emit_graph, parse_graph
 
 
@@ -172,6 +173,18 @@ def test_analyze_k4(tmp_path, capsys):
     assert analysis["minseps"] == 0 and analysis["pmcs"] == 1
 
 
+def test_analyze_counts_pmcs_with_no_3_set_dominator(tmp_path, capsys):
+    # this graph has a long hole, and 2 of its 248 PMCs have no dominating
+    # set of three vertices: data for the histogram, not an internal failure
+    f = tmp_path / "er96.gr"
+    f.write_text(emit_graph(er_graph(15, 0.25, random.Random(96))))
+    assert main(["analyze", str(f), "--json"]) == 0
+    histogram = _json_out(capsys)["analysis"]["dom_histogram"]
+    assert histogram == {"single-vertex": 15, "lemma-chain": 59, "brute-fallback": 172, "none": 2}
+    assert main(["analyze", str(f)]) == 0
+    assert "brute-fallback=172  none=2" in capsys.readouterr().out
+
+
 def test_analyze_cap_seps_is_exact_on_the_8_prism(tmp_path, capsys):
     # the 8-prism has 2^8 - 2 = 254 minimal separators; the cap is checked
     # on those of the whole graph only, as no prefix graph has more
@@ -243,6 +256,32 @@ def test_generate_embeds_seed_comment(tmp_path):
 def test_generate_bad_params_exit_2(capsys):
     assert main(["generate", "prism", "zero"]) == 2
     assert main(["generate", "prism"]) == 2
+
+
+@pytest.mark.parametrize(
+    "family, params, expected",
+    [
+        ("prism", ["5", "7"], "prism takes 1 parameter (k), got 2"),
+        ("chordal", ["5"], "chordal takes 2 parameters (n m), got 1"),
+        ("lhf-filter", ["5", "0.5", "9"], "lhf-filter takes 2 parameters (n p), got 3"),
+        ("complement-of", [], "complement-of takes 1 parameter (file), got 0"),
+    ],
+)
+def test_generate_checks_the_parameter_count(family, params, expected, capsys):
+    assert main(["generate", family, *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "."], ["generate", "complement-of", "."], ["generate", "prism", "3", "--out", "."]],
+    ids=["solve", "complement-of", "out"],
+)
+def test_a_directory_as_a_path_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

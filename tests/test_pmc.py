@@ -35,7 +35,7 @@ from holefree.separators import (
     Separator,
     analyze_separator,
     enumerate_minimal_separators,
-    extend_minimal_separators,
+    prefix_separators,
 )
 
 from oracles import (
@@ -276,13 +276,10 @@ def test_incremental_matches_reference_rule_on_prisms(k):
 
 
 def _prefix_steps(g):
-    """(G_i, Δ(G_i) carried over step by step from Δ(G_1) = []) for i = 1..n."""
-    seps = []
+    """(G_i, Δ(G_i) read off Δ(g) by the prefix chain) for i = 1..n."""
+    chain = prefix_separators(g, enumerate_minimal_separators(g))
     for i in range(1, g.n + 1):
-        gi = g.prefix(i)
-        if i > 1:
-            seps = extend_minimal_separators(gi, seps)
-        yield gi, seps
+        yield g.prefix(i), chain[i - 1]
 
 
 def _assert_prefix_separators(g):
@@ -317,7 +314,8 @@ def _assert_rule_two_certificates(g):
     return accepted
 
 
-# adjacency whose prefix G_3 is edgeless: Δ(G_4) = {∅, {3}}, both lifts of ∅
+# adjacency whose prefix G_3 is edgeless: Δ(G_4) = {∅, {3}}, both lifts of ∅,
+# and both drop to ∅ in G_3
 DISCONNECTED_PREFIX = Graph(4, [(0, 3), (1, 3)])
 
 

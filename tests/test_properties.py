@@ -18,6 +18,7 @@ from holefree.separators import (  # noqa: E402
     absorb_last_vertex,
     add_last_vertex,
     analyze_separator,
+    drop_last_vertex,
     enumerate_minimal_separators,
 )
 
@@ -88,6 +89,16 @@ def test_lifted_records_equal_the_flooded_ones(g, data):
     rec = analyze_separator(g.prefix(g.n - 1), x)
     assert absorb_last_vertex(g, rec) == analyze_separator(g, x)
     assert add_last_vertex(g, rec) == analyze_separator(g, x | a)
+
+
+@derandomized
+@hypothesis.given(graphs(), st.data())
+def test_dropped_records_equal_the_flooded_ones(g, data):
+    # the record of any X in g gives that of X - a in g - a, a the last vertex
+    hypothesis.assume(g.n >= 1)
+    x = data.draw(st.integers(0, g.full_mask))
+    rec = drop_last_vertex(g, analyze_separator(g, x))
+    assert rec == analyze_separator(g.prefix(g.n - 1), x & ~(1 << (g.n - 1)))
 
 
 @derandomized

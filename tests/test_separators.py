@@ -13,7 +13,7 @@ from holefree.recognition import largest_prism
 from holefree.separators import (
     analyze_separator,
     enumerate_minimal_separators,
-    extend_minimal_separators,
+    prefix_separators,
 )
 
 from oracles import (
@@ -175,18 +175,14 @@ def test_each_closure_floods_a_region_once(monkeypatch):
     corpus += [random_chordal(30, 60, rng)]
     for g in corpus:
         closure.clear()
-        enumerate_minimal_separators(g)
+        seps = enumerate_minimal_separators(g)
         assert len(closure) == len(set(closure)) > 0
-        swept = 0
-        seps = enumerate_minimal_separators(g.prefix(1))
-        for i in range(2, g.n + 1):
-            closure.clear()
-            seps = extend_minimal_separators(g.prefix(i), seps)
-            assert len(closure) == len(set(closure))
-            swept += len(closure)
         if g == prism_graph(8):
-            # flooding every region the moves yield took 1,800 floods
-            assert swept == 269
+            # the prefix chain floods once per separator that avoids the
+            # vertex it drops: 2^(k-1) - 1 of the 2^k - 2 at each level
+            every.clear()
+            prefix_separators(g, seps)
+            assert len(every) == 254
 
 
 def test_cap_trip_cost(monkeypatch):
