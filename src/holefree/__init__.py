@@ -9,6 +9,7 @@ from .recognition import (
     ChordalityResult,
     PrismWitness,
     TreeDecomposition,
+    clique_atoms,
     clique_tree,
     find_k_prism,
     find_long_hole,
@@ -29,6 +30,7 @@ from .pmc import (
 from .engine import (
     SolveConfig,
     SolveResult,
+    RootTable,
     SolveStats,
     brute_force_mwis,
     index_caps,
@@ -60,6 +62,7 @@ __all__ = [
     "largest_prism",
     "is_chordal",
     "minimal_triangulation",
+    "clique_atoms",
     "clique_tree",
     "Separator",
     "analyze_separator",
@@ -74,6 +77,7 @@ __all__ = [
     "SolveConfig",
     "SolveResult",
     "SolveStats",
+    "RootTable",
     "index_caps",
     "solve_bt",
     "solve_mwis",

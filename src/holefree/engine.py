@@ -1,4 +1,14 @@
-"""Exact MWIS via dynamic programming over blocks and potential maximal cliques.
+"""Exact MWIS by clique-separator elimination and a block DP per atom.
+
+:func:`solve_mwis` splits each connected component along its clique
+minimal separators into atoms, read off one MCS-M pass
+(:func:`~holefree.recognition.clique_atoms`; Berry, Pogorelcnik &
+Simonet, "An introduction to clique minimal separator decomposition",
+Algorithms 2010), and eliminates them bottom-up (Tarjan, "Decomposition
+by clique separators", Discrete Math. 1985).  Only the atoms that are
+not cliques run the block DP below, each on its own induced graph; a
+graph with no clique separator, such as every k-prism with k >= 3, is
+one atom and runs it on itself.
 
 A block is a pair (D, S) read off a minimal separator record: D a full
 component of the minimal separator S, so S = N(D).  Since every minimal
@@ -11,12 +21,13 @@ child blocks, the components of g - cap inside D.
 
 Caps come from (PMC, component) pairs (Bouchitté & Todinca, SIAM J.
 Comput. 2001): Ω is a cap of (D, S) exactly when a component C of g - Ω
-has N(C) = S and D meets Ω.  The DP is rooted at vertex 0: the whole
-graph is the top block (V, ∅), whose caps are the PMCs that hold 0, and
-only the blocks whose D avoids 0 lie below them.  The table holds plain
-ints: the perturbed weights of :func:`perturbed_weights`, whose one
-maximum spells both the optimum and the canonical witness, read off once
-by :func:`decode`.
+has N(C) = S and D meets Ω.  The DP is rooted at a clique R of the atom:
+its parent separator, or the root atom's lowest vertex.  The top block is
+(V - R, R), whose caps are the PMCs that hold R, and only the blocks whose
+D avoids R lie below them.  The tables hold plain ints: sums of the
+perturbed weights of :func:`perturbed_weights`, whose one maximum spells
+both the optimum and the canonical witness, read off once by
+:func:`decode`.
 
 Every returned result re-checks its own witness: the set must be
 independent and its weight must equal the reported optimum.
@@ -30,9 +41,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import iter_bits, mask_of, to_tuple
-from .errors import OracleLimitError, PreconditionError, SolverInvariantError
+from .errors import (
+    CapacityExceededError,
+    OracleLimitError,
+    PreconditionError,
+    SolverInvariantError,
+)
 from .graph import Graph
 from .pmc import block_family, enumerate_pmcs
+from .recognition import clique_atoms
 from .separators import Separator, enumerate_minimal_separators
 
 _NONE = -1  # trace marker for "no separator vertex chosen"
@@ -139,44 +156,63 @@ def index_caps(pmcs: list[Separator], blocks: list[tuple[int, int]]) -> list[lis
     return caps
 
 
-def solve_bt(g: Graph, pmcs: list[Separator], blocks: list[tuple[int, int]]) -> SolveResult:
-    """Exact MWIS on a connected graph from its complete PMC family.
+@dataclass
+class RootTable:
+    """The top table of the block DP under its root clique S: at ``_NONE``
+    the best over the independent sets of g - S, at s in S the best over
+    those with no neighbour of s."""
+
+    values: dict[int, int]
+    stats: SolveStats
+
+
+def solve_bt(
+    g: Graph, pmcs: list[Separator], blocks: list[tuple[int, int]], w: list[int], root: int = 1
+) -> RootTable:
+    """The block DP of a connected graph from its complete PMC family, on
+    int weights ``w``, under the clique ``root`` = S (vertex 0 by default).
+    S must not be a PMC: no vertex alone is one, and nor is the parent
+    separator of an atom, as the rest of the atom is a component that sees
+    all of it.
 
     ``blocks`` is the block family as (D, N(D)) pairs; cap indexing is
-    derived here.  The DP is rooted at vertex 0: it keeps only the blocks
-    with 0 not in D, and the top block (V, ∅) takes as caps only the PMCs
-    that hold 0.  Its single entry is the answer.  That is exact.  The
-    optimum stays independent in some minimal triangulation H of g, which
-    the one-trace-vertex table already rests on, and the DP reaches it from
-    any maximal clique of H as the top cap, a PMC of g: take one that holds
-    0.  Every block below that cap Ω lies in a component of g - Ω, as each
-    child lies in its parent, so none holds 0.  (Rooting a clique tree of H
-    at Ω, running intersection says the same.)  The kept blocks are closed
-    under taking children for the same reason.
+    derived here.  The DP keeps only the blocks with D disjoint from S, and
+    the top block (V - S, S) takes as caps only the PMCs that hold S.  That
+    is exact.  An independent set stays independent in some minimal
+    triangulation H of g, which the one-trace-vertex table already rests
+    on, and the DP reaches it from any maximal clique of H as the top cap,
+    a PMC of g: take one that holds the clique S.  Every block below that
+    cap Ω lies in a component of g - Ω, as each child lies in its parent,
+    so none meets S.  (Rooting a clique tree of H at Ω, running
+    intersection says the same.)  The kept blocks are closed under taking
+    children for the same reason.  As S is not a PMC, no cap of the top
+    block leaves V - S whole.
 
     The children of a block D under a cap Ω are the components of g - Ω
     inside D, strictly smaller than D, so a stable sort by size alone
-    orders the tables, and the top block's comes last.  The table holds
-    sums of :func:`perturbed_weights`, so each entry is the one maximum of
-    its choices, whatever the order among blocks of one size, and the
-    answer decodes to the canonical witness.  ``stats.table_entries``
-    counts the entries of the kept blocks' tables.
+    orders the tables, and the top block's comes last.  A vertex is taken
+    only when its weight is positive.  With sums of
+    :func:`perturbed_weights`, or of weights that the atom elimination of
+    :func:`solve_mwis` adjusts from them, each entry is the one maximum of
+    its choices, whatever the order among blocks of one size.
+    ``stats.table_entries`` counts the entries of the kept blocks' tables.
     """
     if not g.is_connected():
         raise PreconditionError("solve_bt needs a connected graph")
+    if not g.is_clique(root) or any(p.set == root for p in pmcs):
+        raise PreconditionError("solve_bt needs a root clique that is not a PMC")
     t0 = time.perf_counter()
 
-    blocks = sorted((b for b in blocks if not b[0] & 1), key=lambda b: b[0].bit_count())
+    blocks = sorted((b for b in blocks if not b[0] & root), key=lambda b: b[0].bit_count())
     stats = SolveStats(
         pmcs=len(pmcs), blocks=len(blocks), table_entries=sum(s.bit_count() + 1 for _, s in blocks)
     )
     caps = index_caps(pmcs, blocks)
-    blocks.append((g.full_mask, 0))
-    caps.append([i for i, p in enumerate(pmcs) if p.set & 1])
+    blocks.append((g.full_mask & ~root, root))
+    caps.append([i for i, p in enumerate(pmcs) if p.set & root == root])
     by_mask = {d: j for j, (d, _) in enumerate(blocks)}
-    scale, w = perturbed_weights(g)
 
-    if any(comp not in by_mask for p in pmcs for comp in p.components if not comp & 1):
+    if any(comp not in by_mask for p in pmcs for comp in p.components if not comp & root):
         raise SolverInvariantError("block family misses a component of g - PMC")
 
     # tables[block index][trace] = value; a block's table has keys _NONE
@@ -207,7 +243,7 @@ def solve_bt(g: Graph, pmcs: list[Separator], blocks: list[tuple[int, int]]) -> 
                 low = own & -own
                 own ^= low
                 t = low.bit_length() - 1
-                if w[t]:
+                if w[t] > 0:
                     value = w[t]
                     for get, none in kids:
                         value += get(t, none)
@@ -224,40 +260,96 @@ def solve_bt(g: Graph, pmcs: list[Separator], blocks: list[tuple[int, int]]) -> 
         table.update(zip(trace, best))
         tables.append(table)
 
-    weight, mask = decode(g.n, scale, tables[-1][_NONE])
+    stats.time_ms = (time.perf_counter() - t0) * 1000.0
+    return RootTable(tables[-1], stats)
+
+
+def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
+    """Exact MWIS: per connected component, eliminate the atoms of its clique
+    minimal separator decomposition bottom-up, on the perturbed weights of
+    :func:`perturbed_weights`, and decode the sum once at the end.
+
+    The atoms come in split order, so the parent separator S of an atom A
+    lies in an atom still to come.  A - S hands up T: its best with no
+    vertex of S taken, and with each s of S taken.  T[none] goes into a
+    constant and T[s] - T[none] onto the weight of s, so what is left
+    weighs exactly what g did; an adjusted weight can be 0 or less, and
+    then its vertex is never taken.  A clique atom's T needs no DP: one
+    vertex of A - S at most, and none beside a vertex of S.  Any other
+    atom runs the block DP (:func:`solve_bt`) on g[A] rooted at S, from its
+    own minimal separators and PMCs; the root atom is rooted at its lowest
+    vertex, which is then taken when its adjusted weight is positive.
+    Every value is a sum of perturbed weights over one independent set of
+    g, so the total is still the one maximum, and decodes to the canonical
+    witness.
+
+    The caps count the separators and PMCs of the whole component: its
+    distinct clique minimal separators and the minimal separators of its
+    atoms are its minimal separators, and its clique atoms and the PMCs of
+    its other atoms are its PMCs.  Every atom's separators are
+    counted before any PMC, so a component trips the cap it tripped when
+    it was enumerated whole, at the same count for the separators.
+    """
+    cfg = config or SolveConfig()
+    t0 = time.perf_counter()
+    stats = SolveStats()
+    scale, w = perturbed_weights(g)
+    value = 0
+    for comp in g.components():
+        if comp.bit_count() == 1:
+            value += w[comp.bit_length() - 1]
+            continue
+        sub, vmap = g.induced(comp)
+        value += _eliminate(sub, [w[v] for v in vmap], cfg, stats)
+    weight, mask = decode(g.n, scale, value)
     check_independent_witness(g, weight, mask)
     stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(weight, to_tuple(mask), "bt", stats)
 
 
-def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
-    """Exact MWIS driver: per connected component, run the full pipeline
-    (minimal separators, block family, PMC family, block DP) and combine."""
-    cfg = config or SolveConfig()
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    total = Fraction(0)
-    chosen: list[int] = []
-    for comp in g.components():
-        if comp.bit_count() == 1:
-            v = comp.bit_length() - 1
-            if g.weights[v] > 0:
-                total += g.weights[v]
-                chosen.append(v)
+def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
+    """The best sum of ``w`` over the independent sets of a connected g,
+    atom by atom (see :func:`solve_mwis`); ``w`` is adjusted in place."""
+    pieces = clique_atoms(g)
+    v0 = (pieces[-1][0] & -pieces[-1][0]).bit_length() - 1
+    pieces[-1] = (pieces[-1][0], 1 << v0)
+    seps = len({sep for _, sep in pieces[:-1]})
+    if cfg.cap_seps and seps > cfg.cap_seps:
+        raise CapacityExceededError("minimal separators", cfg.cap_seps, seps)
+    work = []
+    for atom, sep in pieces:
+        if g.is_clique(atom):
+            work.append((atom, sep, None))
             continue
-        sub, vmap = g.induced(comp)
-        minseps = enumerate_minimal_separators(sub, cap=cfg.cap_seps)
-        pmcs = enumerate_pmcs(sub, minseps, cap=cfg.cap_pmcs)
-        blocks = block_family(minseps)
-        res = solve_bt(sub, pmcs, blocks)
-        stats.merge(res.stats)
-        stats.minseps += len(minseps)
-        total += res.weight
-        chosen.extend(vmap[v] for v in res.vertices)
-    witness = tuple(sorted(chosen))
-    check_independent_witness(g, total, mask_of(witness))
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(total, witness, "bt", stats)
+        h, hmap = g.induced(atom)
+        minseps = enumerate_minimal_separators(h, cap=cfg.cap_seps, counted=seps)
+        seps += len(minseps)
+        work.append((atom, sep, (h, hmap, minseps)))
+    pmcs = sum(part is None for _, _, part in work)
+    if cfg.cap_pmcs and pmcs > cfg.cap_pmcs:
+        raise CapacityExceededError("potential maximal cliques", cfg.cap_pmcs, pmcs)
+
+    value = 0
+    for atom, sep, part in work:
+        if part is None:
+            none = max([0] + [w[v] for v in iter_bits(atom & ~sep)])
+            table = {v: 0 for v in iter_bits(sep)}
+        else:
+            h, hmap, minseps = part
+            family = enumerate_pmcs(h, minseps, cap=cfg.cap_pmcs, counted=pmcs)
+            pmcs += len(family)
+            top = mask_of(i for i, v in enumerate(hmap) if sep >> v & 1)
+            res = solve_bt(h, family, block_family(minseps), [w[v] for v in hmap], top)
+            stats.blocks += res.stats.blocks
+            stats.table_entries += res.stats.table_entries
+            none = res.values[_NONE]
+            table = {hmap[i]: res.values[i] for i in iter_bits(top)}
+        value += none
+        for v, best in table.items():
+            w[v] += best - none
+    stats.minseps += seps
+    stats.pmcs += pmcs
+    return value + max(0, w[v0])
 
 
 def brute_force_mwis(g: Graph, limit: int = 20) -> SolveResult:

@@ -10,29 +10,6 @@ from .graph import Graph
 from .recognition import find_k_prism, find_long_hole, long_hole_through
 
 
-def path_graph(t: int) -> Graph:
-    return Graph(t, [(i, i + 1) for i in range(t - 1)])
-
-
-def cycle_graph(t: int) -> Graph:
-    if t < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(t, [(i, (i + 1) % t) for i in range(t)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Center 0 joined to vertices 1..leaves."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def prism_graph(k: int) -> Graph:
     """Two k-cliques 0..k-1 and k..2k-1 joined by the matching i, k+i."""
     if k < 1:

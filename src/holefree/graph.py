@@ -133,6 +133,21 @@ class Graph:
             out.append((comp, reach & ~comp))
         return out
 
+    def component_of(self, v: int, sub: int) -> int:
+        """The component of the subgraph induced on ``sub`` that holds v,
+        for v in ``sub``, flooded from v alone."""
+        adj = self.adj
+        comp = frontier = 1 << v
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & sub & ~comp
+            comp |= frontier
+        return comp
+
     def components(self, sub: int | None = None) -> list[int]:
         """Connected components of the subgraph induced on ``sub``, in the
         canonical order of :meth:`flood`."""
@@ -189,8 +204,11 @@ class Graph:
         return Graph(self.n, self.edges() + list(extra), self.weights)
 
     def induced(self, sub: int) -> tuple["Graph", tuple[int, ...]]:
-        """Compactly relabeled induced subgraph plus new-to-old vertex map."""
+        """Compactly relabeled induced subgraph plus new-to-old vertex map;
+        the graph itself when ``sub`` is all of it."""
         vmap = to_tuple(sub)
+        if sub == self.full_mask:
+            return self, vmap
         bit = {v: 1 << i for i, v in enumerate(vmap)}
         rows = []
         for v in vmap:

@@ -43,6 +43,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .graph import Graph
+from .recognition import clique_atoms
 from .separators import (
     Separator,
     absorb_last_vertex,
@@ -179,64 +180,37 @@ def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
     return True
 
 
-def atoms(g: Graph, minseps: list[Separator]) -> list[int]:
-    """The atoms of g: the parts left by splitting it along its clique
-    minimal separators, the members of ``minseps`` that are cliques.
-
-    A part P that holds such an S, with S a minimal separator of g[P] (two
-    or more components of g[P] - S see all of S), is replaced by C | N(C)
-    for each component C of g[P] - S, N(C) taken inside P: the
-    decomposition step of Berry, Pogorelcnik & Simonet (Algorithms 2010).
-    A clique minimal separator of a part is one of g, so one pass over
-    ``minseps`` leaves parts without any, and splitting only at minimal
-    separators leaves no part inside another.  Each edge of g lies in
-    some atom, and g is one atom when it has no clique minimal separator.
-    """
-    parts = [g.full_mask]
-    for sep in minseps:
-        s = sep.set
-        if not g.is_clique(s):
-            continue
-        split = []
-        for part in parts:
-            if s & ~part == 0:
-                pairs = g.flood(part & ~s)
-                if sum(nb & s == s for _, nb in pairs) >= 2:
-                    split.extend(c | nb & part for c, nb in pairs)
-                    continue
-            split.append(part)
-        parts = split
-    return parts
-
-
-def enumerate_pmcs(g: Graph, minseps: list[Separator], cap: int = 0) -> list[Separator]:
+def enumerate_pmcs(
+    g: Graph, minseps: list[Separator], cap: int = 0, counted: int = 0
+) -> list[Separator]:
     """The complete, canonically sorted PMC family of g.
 
-    The enumeration first splits g into its :func:`atoms` along the
-    clique minimal separators in ``minseps`` (Tarjan, Discrete Math. 1985;
-    Berry, Pogorelcnik & Simonet, Algorithms 2010).  By Leimer's theorem
-    the minimal triangulations of g are the unions of minimal
-    triangulations of its atoms, so the PMCs of g are those of its atoms.
-    A clique atom is its own single PMC.  Every other atom is swept as its
-    own induced graph (:func:`_sweep`), from its minimal separators, and
-    its PMCs are mapped back to g's labels.  Each PMC is then certified
+    The enumeration first splits g into its atoms along its clique minimal
+    separators (:func:`~holefree.recognition.clique_atoms`; Tarjan,
+    Discrete Math. 1985; Berry, Pogorelcnik & Simonet, Algorithms 2010).
+    By Leimer's theorem the minimal triangulations of g are the unions of
+    minimal triangulations of its atoms, so the PMCs of g are those of its
+    atoms.  A clique atom is its own single PMC.  Every other atom is swept
+    as its own induced graph (:func:`_sweep`), from its minimal separators,
+    and its PMCs are mapped back to g's labels.  Each PMC is then certified
     once on g, so it carries its components and neighborhoods in g.  When
     g is a single atom, it is swept in place with ``minseps``.
 
-    ``cap`` bounds every prefix family of every sweep and the union; over
-    it, CapacityExceededError.  A cap on ``minseps`` = Δ(g) bounds every
-    separator family built here: Δ of an atom lies in Δ(g) (Berry et al.
-    2010), and |Δ(G_i)| grows with i (:func:`_sweep`).
+    ``cap`` bounds every prefix family of every sweep and the union, each
+    with ``counted`` more PMCs found elsewhere (the other atoms of a
+    graph); over it, CapacityExceededError.  A cap on ``minseps`` = Δ(g)
+    bounds every separator family built here: Δ of an atom lies in Δ(g)
+    (Berry et al. 2010), and |Δ(G_i)| grows with i (:func:`_sweep`).
 
-    ``minseps`` must be all of Δ(g): the atoms are read off it, and so is
-    every prefix family of the sweep when g is one atom.  The result is
-    checked against it: the neighborhood of each component left by a PMC
-    must be in it.  That catches an omission only when some returned PMC
-    exposes it; otherwise a smaller family comes back.
+    ``minseps`` must be all of Δ(g): every prefix family of the sweep is
+    read off it when g is one atom.  The result is checked against it: the
+    neighborhood of each component left by a PMC must be in it.  That
+    catches an omission only when some returned PMC exposes it; otherwise
+    a smaller family comes back.
     """
-    parts = atoms(g, minseps)
+    parts = [atom for atom, _ in clique_atoms(g)]
     if len(parts) == 1:
-        family = _sweep(g, minseps, cap)
+        family = _sweep(g, minseps, cap, counted)
     else:
         sets: list[int] = []
         for atom in parts:
@@ -244,10 +218,10 @@ def enumerate_pmcs(g: Graph, minseps: list[Separator], cap: int = 0) -> list[Sep
                 sets.append(atom)
                 continue
             h, vmap = g.induced(atom)
-            for pmc in _sweep(h, enumerate_minimal_separators(h), cap):
+            for pmc in _sweep(h, enumerate_minimal_separators(h), cap, counted):
                 sets.append(mask_of(vmap[v] for v in iter_bits(pmc.set)))
-        if cap and len(sets) > cap:
-            raise CapacityExceededError("potential maximal cliques", cap, len(sets))
+        if cap and counted + len(sets) > cap:
+            raise CapacityExceededError("potential maximal cliques", cap, counted + len(sets))
         family = []
         for cand in sets:
             pmc = is_pmc(g, cand)
@@ -262,7 +236,7 @@ def enumerate_pmcs(g: Graph, minseps: list[Separator], cap: int = 0) -> list[Sep
     return sorted(family, key=lambda p: canonical_key(p.set))
 
 
-def _sweep(g: Graph, minseps: list[Separator], cap: int) -> list[Separator]:
+def _sweep(g: Graph, minseps: list[Separator], cap: int, counted: int) -> list[Separator]:
     """The PMCs of g, certified on g, by a sweep over its prefix graphs
     G_1..G_n that ends with the minimal separators ``minseps`` of g.
 
@@ -301,8 +275,8 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int) -> list[Separator]:
     first step (:func:`~holefree.separators.prefix_separators`).  Each T
     in Δ(G) gives T or T + a in Δ(G'), so no Δ(G_i) is larger than
     ``minseps``.  G_n is g, so the certificates of the final step are
-    returned as they are.  A prefix family over ``cap`` raises
-    CapacityExceededError.
+    returned as they are.  A prefix family over ``cap``, with ``counted``
+    more, raises CapacityExceededError.
     """
     # the PMCs of G_1; G_1 - {0} is empty and so is Δ(G_1)
     family: dict[int, Separator] = {1: Separator(1, (), ())} if g.n else {}
@@ -351,8 +325,8 @@ def _sweep(g: Graph, minseps: list[Separator], cap: int) -> list[Separator]:
                     kept[cand] = pmc
         family = kept
         prev_seps = seps_now
-        if cap and len(family) > cap:
-            raise CapacityExceededError("potential maximal cliques", cap, len(family))
+        if cap and counted + len(family) > cap:
+            raise CapacityExceededError("potential maximal cliques", cap, counted + len(family))
     return list(family.values())
 
 

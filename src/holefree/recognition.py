@@ -301,6 +301,47 @@ def minimal_triangulation(g: Graph) -> FillIn:
     return _mcs_m(g)[1]
 
 
+def clique_atoms(g: Graph) -> list[tuple[int, int]]:
+    """The clique minimal separator decomposition of g, as (atom A, parent
+    separator S) pairs in split order: each S lies inside an atom listed
+    later, and the root comes last with S = ∅.
+
+    One MCS-M pass (Berry, Pogorelcnik & Simonet, "An introduction to clique
+    minimal separator decomposition", Algorithms 2010, MCS-M+ and Atoms).
+    A vertex picked with a score no higher than the previous pick's is a
+    generator, and its earlier neighbours in the completion H = g + fill,
+    as many as its score, are a minimal separator of H.  Every minimal
+    separator of H is one of those, and the clique minimal separators of
+    g are those that are cliques of g.  Taken in reverse pick order, each
+    generator x whose S is a clique of g splits off A = C | S, for C the
+    component of x in what is left minus S; C leaves what is left.  What
+    remains at the end is the root.  A disconnected g splits along S = ∅.
+    """
+    order, fill = _mcs_m(g)
+    rows = list(g.adj)
+    for u, v in fill:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    generators = []
+    numbered = 0
+    last = -1
+    for x in order:
+        sep = rows[x] & numbered
+        if sep.bit_count() <= last:
+            generators.append((x, sep))
+        last = sep.bit_count()
+        numbered |= 1 << x
+    rest = g.full_mask
+    out = []
+    for x, sep in reversed(generators):
+        if g.is_clique(sep):
+            comp = g.component_of(x, rest & ~sep)
+            out.append((comp | sep, sep))
+            rest ^= comp
+    out.append((rest, 0))
+    return out
+
+
 def _maximal_cliques_chordal(h: Graph, order: list[int]) -> list[int]:
     """The maximal cliques of a chordal graph from an MCS order, sorted.
 

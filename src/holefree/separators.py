@@ -18,6 +18,7 @@ many come back; each is flooded once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .bits import canonical_key, iter_bits, to_tuple
@@ -65,7 +66,7 @@ def _separator_of_component(g: Graph, comp: int, sep: int) -> Separator:
     return Separator(sep, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
 
-def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
+def enumerate_minimal_separators(g: Graph, cap: int = 0, counted: int = 0) -> list[Separator]:
     """All minimal separators of g, canonically sorted and duplicate free.
 
     The generation lemma of Berry, Bordat & Cogis ("Generating all the
@@ -90,7 +91,8 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
     of a complete run are those of any order; expanding the newest first
     reaches unseen separators sooner, which only shortens the run up to
     a cap trip.  With cap > 0 the search aborts once more than cap
-    separators are found, before any record is built.
+    separators are found, with ``counted`` more found elsewhere (the other
+    atoms of a graph), before any record is built.
 
     Each region is flooded once.  A flood is a pure function of its
     region, and the first flood of a region put every N(C) it returns
@@ -119,8 +121,8 @@ def enumerate_minimal_separators(g: Graph, cap: int = 0) -> list[Separator]:
         for comp, nb in g.flood(region):
             if nb not in found:
                 found[nb] = comp
-                if cap and len(found) > cap:
-                    raise CapacityExceededError("minimal separators", cap, len(found))
+                if cap and counted + len(found) > cap:
+                    raise CapacityExceededError("minimal separators", cap, counted + len(found))
                 stack.append(nb)
 
     out = [_separator_of_component(g, found[nb], nb) for nb in sorted(found, key=canonical_key)]
@@ -174,14 +176,15 @@ def add_last_vertex(g: Graph, rec: Separator) -> Separator:
     return Separator(rec.set | bit, rec.components, nbrs)
 
 
-def drop_last_vertex(g: Graph, rec: Separator) -> Separator:
+def drop_last_vertex(g: Graph, rec: Separator, flood) -> Separator:
     """The record of X - a in g minus its last vertex a, from ``rec``, that
     of X in g.
 
     With a in X the components are the same, in the same order, and their
     neighborhoods lose a.  Otherwise only the component C_a that holds a
-    changes: it splits into the components of C_a - a, flooded here, whose
-    neighborhoods lose a; every component goes in at its canonical place.
+    changes: it splits into the components of C_a - a, flooded by ``flood``
+    (g.flood, or a memo of it), whose neighborhoods lose a; every component
+    goes in at its canonical place.
     """
     bit = 1 << (g.n - 1)
     if rec.set & bit:
@@ -190,7 +193,7 @@ def drop_last_vertex(g: Graph, rec: Separator) -> Separator:
     pairs = [p for p in zip(rec.components, rec.neighborhoods) if not p[0] & bit]
     for comp in rec.components:
         if comp & bit:
-            pairs += [(c, nb & ~bit) for c, nb in g.flood(comp ^ bit)]
+            pairs += [(c, nb & ~bit) for c, nb in flood(comp ^ bit)]
     pairs.sort(key=lambda p: p[0] & -p[0])
     return Separator(rec.set, tuple(c for c, _ in pairs), tuple(nb for _, nb in pairs))
 
@@ -205,15 +208,18 @@ def prefix_separators(g: Graph, minseps: list[Separator]) -> list[list[Separator
     sets S - a, S in Δ(G), that are minimal in G - a, and the chain is read
     from Δ(g) down, one :func:`drop_last_vertex` per distinct S - a.  Both
     S and S + a give S, and the record of a set in a graph is unique.
+    Separators that avoid a and share the component that holds it share
+    its split, so each level floods each such component once.
     """
     chain = [minseps] if g.n else []
     for i in range(g.n, 1, -1):
         gi = g.prefix(i)
         bit = 1 << (i - 1)
+        flood = functools.cache(gi.flood)
         found: dict[int, Separator] = {}
         for sep in chain[-1]:
             if sep.set & ~bit not in found:
-                found[sep.set & ~bit] = drop_last_vertex(gi, sep)
+                found[sep.set & ~bit] = drop_last_vertex(gi, sep, flood)
         level = [s for s in found.values() if s.is_minimal]
         chain.append(sorted(level, key=lambda s: canonical_key(s.set)))
     return chain[::-1]

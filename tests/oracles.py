@@ -29,6 +29,29 @@ def p4() -> Graph:
     return Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
+def path_graph(t: int) -> Graph:
+    return Graph(t, [(i, i + 1) for i in range(t - 1)])
+
+
+def cycle_graph(t: int) -> Graph:
+    if t < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph(t, [(i, (i + 1) % t) for i in range(t)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Center 0 joined to vertices 1..leaves."""
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
 # -- subset scans -------------------------------------------------------------
 
 def exhaustive_mwis(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -49,6 +72,40 @@ def exhaustive_mwis(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         if w > best_w or (w == best_w and tup < best):
             best_w, best = w, tup
     return best_w, best
+
+
+def tree_decomposition_mwis(g: Graph) -> Fraction:
+    """Max weight of an independent set by a subset DP over the tree
+    decomposition that networkx's min-fill-in heuristic builds; for graphs
+    of small treewidth only, as each bag's table has one entry per
+    independent subset of the bag."""
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    tree = treewidth_min_fill_in(h)[1]
+    root = next(iter(tree))
+    tables: dict[frozenset, dict[frozenset, Fraction]] = {}
+    for bag in nx.dfs_postorder_nodes(tree, root):
+        kids = [c for c in tree[bag] if c in tables]  # the parent comes later
+        subsets = [frozenset()]
+        for v in bag:
+            subsets += [s | {v} for s in subsets if not any(g.has_edge(u, v) for u in s)]
+        table = {}
+        for sub in subsets:
+            value = sum((g.weights[v] for v in sub), Fraction(0))
+            for c in kids:
+                shared = bag & c
+                value += max(
+                    x - sum((g.weights[v] for v in t & shared), Fraction(0))
+                    for t, x in tables[c].items()
+                    if t & shared == sub & shared
+                )
+            table[sub] = value
+        tables[bag] = table
+    return max(tables[root].values())
 
 
 def frank_chordal_mwis(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -369,7 +426,36 @@ def whole_graph_pmcs(g: Graph):
     from holefree.pmc import _sweep
     from holefree.separators import enumerate_minimal_separators
 
-    return sorted(_sweep(g, enumerate_minimal_separators(g), 0), key=lambda p: to_tuple(p.set))
+    return sorted(_sweep(g, enumerate_minimal_separators(g), 0, 0), key=lambda p: to_tuple(p.set))
+
+
+def reference_atoms(g: Graph, minseps) -> list[int]:
+    """The atoms of g: the parts left by splitting it along its clique
+    minimal separators, the members of ``minseps`` = Δ(g) that are cliques.
+
+    A part P that holds such an S, with S a minimal separator of g[P] (two
+    or more components of g[P] - S see all of S), is replaced by C | N(C)
+    for each component C of g[P] - S, N(C) taken inside P: the
+    decomposition step of Berry, Pogorelcnik & Simonet (Algorithms 2010).
+    A clique minimal separator of a part is one of g, so one pass over
+    ``minseps`` leaves parts without any, and splitting only at minimal
+    separators leaves no part inside another.
+    """
+    parts = [g.full_mask]
+    for sep in minseps:
+        s = sep.set
+        if not g.is_clique(s):
+            continue
+        split = []
+        for part in parts:
+            if s & ~part == 0:
+                pairs = g.flood(part & ~s)
+                if sum(nb & s == s for _, nb in pairs) >= 2:
+                    split.extend(c | nb & part for c, nb in pairs)
+                    continue
+            split.append(part)
+        parts = split
+    return parts
 
 
 def reference_caps(pmcs, blocks) -> list[list[int]]:

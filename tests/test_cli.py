@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from holefree import cli
+from holefree import cli, engine
 from holefree.cli import main
-from holefree.errors import PreconditionError
-from holefree.families import cycle_graph, er_graph, path_graph, prism_graph
+from holefree.errors import CapacityExceededError, PreconditionError
+from holefree.families import er_graph, prism_graph
 from holefree.graph import Graph, emit_graph, parse_graph
+
+from oracles import complete_graph, cycle_graph, path_graph
 
 
 @pytest.fixture()
@@ -70,6 +72,46 @@ def test_pmc_cap_trips_on_the_union_of_atoms(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "potential maximal cliques: cap 11 exceeded (12 found so far)" in err
         assert main([*command, "--cap-pmcs", "12"]) == 0
+
+
+def test_separator_cap_counts_every_atom(tmp_path, capsys, monkeypatch):
+    # the same chain: clique minimal separators {3} and {6}, and two minimal
+    # separators in each 4-cycle, 8 in all, no atom holding more than 2.  At
+    # cap 6 the clique separators and two atoms use the budget up exactly,
+    # and the third atom trips at its first separator; at cap 7 it trips at
+    # its second.  Either trip raises out of the separator enumeration.
+    edges = [(i, i + 1) for i in range(9)] + [(0, 3), (3, 6), (6, 9)]
+    f = tmp_path / "c4-chain.gr"
+    f.write_text(emit_graph(Graph(10, edges)))
+    trips = []
+    real = engine.enumerate_minimal_separators
+
+    def spy(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except CapacityExceededError:
+            trips.append(args[0].n)
+            raise
+
+    monkeypatch.setattr(engine, "enumerate_minimal_separators", spy)
+    for cap in (6, 7):
+        assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", str(cap)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: minimal separators: cap {cap} exceeded ({cap + 1} found so far)\n"
+    assert trips == [4, 4]
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", "8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["minseps"] == 8
+
+
+def test_separator_cap_counts_clique_separators_with_no_enumeration(tmp_path, capsys):
+    # a path on 5 vertices: 3 clique minimal separators and only clique atoms
+    f = tmp_path / "p5.gr"
+    f.write_text(emit_graph(path_graph(5)))
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", "2"]) == 3
+    assert capsys.readouterr().err == "error: minimal separators: cap 2 exceeded (3 found so far)\n"
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", "3", "--cap-pmcs", "3"]) == 3
+    assert "potential maximal cliques: cap 3 exceeded (4 found so far)" in capsys.readouterr().err
+    assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", "3", "--cap-pmcs", "4"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -164,8 +206,6 @@ def test_analyze_c4(c4_file, capsys):
 
 
 def test_analyze_k4(tmp_path, capsys):
-    from holefree.families import complete_graph
-
     f = tmp_path / "k4.gr"
     f.write_text(emit_graph(complete_graph(4)))
     assert main(["analyze", str(f), "--json"]) == 0

@@ -10,7 +10,9 @@ import pytest
 import holefree.engine as engine
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.engine import (
+    _NONE,
     SolveConfig,
+    SolveResult,
     brute_force_mwis,
     decode,
     index_caps,
@@ -21,8 +23,6 @@ from holefree.engine import (
 from holefree.errors import CapacityExceededError, OracleLimitError, PreconditionError
 from holefree.families import (
     WEIGHT_STYLES,
-    complete_graph,
-    cycle_graph,
     er_graph,
     grow_lhf,
     prism_graph,
@@ -31,21 +31,36 @@ from holefree.families import (
 )
 from holefree.graph import Graph
 from holefree.pmc import block_family, enumerate_pmcs
+from holefree.recognition import clique_atoms
 from holefree.separators import enumerate_minimal_separators
 
 from oracles import (
     c4,
+    complete_graph,
+    cycle_graph,
     exhaustive_mwis,
     frank_chordal_mwis,
     p4,
     reference_caps,
     reference_solve_bt,
+    tree_decomposition_mwis,
 )
 
 
 def _pipeline(g):
     seps = enumerate_minimal_separators(g)
     return enumerate_pmcs(g, seps), block_family(seps)
+
+
+def _solve_bt(g, pmcs, blocks):
+    """The MWIS of a connected g from solve_bt rooted at vertex 0, on the
+    perturbed weights: the best of the table's entry with vertex 0 left
+    out and, when it weighs something, with vertex 0 taken."""
+    scale, w = perturbed_weights(g)
+    res = solve_bt(g, pmcs, blocks, w)
+    best = max(res.values[_NONE], w[0] + res.values[0] if w[0] > 0 else 0)
+    weight, mask = decode(g.n, scale, best)
+    return SolveResult(weight, to_tuple(mask), "bt", res.stats)
 
 
 def _indexed_blocks(g):
@@ -106,7 +121,7 @@ def test_index_caps_k4_no_blocks():
 def test_solve_bt_c4_unit():
     g = c4()
     pmcs, blocks = _pipeline(g)
-    res = solve_bt(g, pmcs, blocks)
+    res = _solve_bt(g, pmcs, blocks)
     assert res.weight == 2
     assert res.vertices in ((0, 2), (1, 3))
 
@@ -115,7 +130,7 @@ def test_solve_bt_weighted_prism():
     g = prism_graph(3).with_weights([3, 1, 1, 1, 1, 3])
     assert exhaustive_mwis(g) == (Fraction(6), (0, 5))  # oracle over 64 subsets
     pmcs, blocks = _pipeline(g)
-    res = solve_bt(g, pmcs, blocks)
+    res = _solve_bt(g, pmcs, blocks)
     assert res.weight == 6 and res.vertices == (0, 5)
 
 
@@ -123,7 +138,7 @@ def test_solve_bt_p4_weighted():
     g = p4().with_weights([1, 5, 5, 1])
     assert exhaustive_mwis(g)[0] == Fraction(6)  # oracle over 16 subsets
     pmcs, blocks = _pipeline(g)
-    res = solve_bt(g, pmcs, blocks)
+    res = _solve_bt(g, pmcs, blocks)
     assert res.weight == 6 and res.vertices in ((0, 2), (1, 3))
 
 
@@ -140,7 +155,7 @@ def test_solve_bt_on_the_8_prism_fills_the_blocks_without_vertex_0(monkeypatch):
     monkeypatch.setattr(engine, "index_caps", spy)
     g = prism_graph(8)
     pmcs, blocks = _pipeline(g)
-    res = solve_bt(g, pmcs, blocks)
+    res = _solve_bt(g, pmcs, blocks)
     assert len(blocks) == 508
     assert (res.stats.table_entries, res.stats.blocks, len(seen)) == (3429, 381, 381)
     assert not any(d & 1 for d, _ in seen)
@@ -148,7 +163,7 @@ def test_solve_bt_on_the_8_prism_fills_the_blocks_without_vertex_0(monkeypatch):
 
 def _assert_dp_matches_reference(g):
     pmcs, blocks = _pipeline(g)
-    res = solve_bt(g, pmcs, blocks)
+    res = _solve_bt(g, pmcs, blocks)
     assert (res.weight, res.vertices) == reference_solve_bt(g, pmcs, blocks)
 
 
@@ -189,7 +204,7 @@ def test_exact_weights_match_subset_scan(palette):
         expect = exhaustive_mwis(g)
         results = [solve_mwis(g)]
         if g.is_connected():
-            results.append(solve_bt(g, *_pipeline(g)))
+            results.append(_solve_bt(g, *_pipeline(g)))
         for res in results:
             assert isinstance(res.weight, Fraction)
             assert (res.weight, res.vertices) == expect
@@ -225,6 +240,12 @@ def test_frank_oracle_matches_exhaustive(chordal_corpus_50):
         assert g.is_independent(mask_of(witness)) and g.weight_of(mask_of(witness)) == weight
 
 
+def test_tree_decomposition_oracle_matches_exhaustive(random_corpus_12):
+    pytest.importorskip("networkx")
+    for g in random_corpus_12[:60]:
+        assert tree_decomposition_mwis(g) == exhaustive_mwis(g)[0]
+
+
 @pytest.mark.parametrize("n", [200, 240])
 def test_matches_frank_on_large_chordal(n):
     rng = random.Random(n)
@@ -250,10 +271,69 @@ def test_matches_networkx_beyond_brute_force_reach(family, n, style):
     assert (res.weight, res.mask) == _canonical_by_oracle(g, _networkx_mwis_weight)
 
 
+def test_elimination_matches_brute_force_on_multi_atom_graphs():
+    # the atom elimination adjusts weights, down to 0 or below, and keeps
+    # the canonical witness: connected ER graphs with n <= 13 and two or
+    # more atoms, in every weight style
+    rng = random.Random(2301)
+    checked = swept = 0
+    while checked < 100:
+        g = er_graph(rng.randint(4, 13), rng.uniform(0.15, 0.6), rng)
+        pieces = clique_atoms(g)
+        if not g.is_connected() or len(pieces) < 2:
+            continue
+        for style in WEIGHT_STYLES:
+            h = random_weights(g, rng, style)
+            res, ref = solve_mwis(h), brute_force_mwis(h)
+            assert (res.weight, res.vertices) == (ref.weight, ref.vertices), (h.adj, h.weights)
+        swept += any(not g.is_clique(a) for a, _ in pieces)
+        checked += 1
+    assert swept > 30
+
+
+def test_elimination_runs_the_dp_only_on_atoms_that_are_not_cliques(monkeypatch):
+    # three 4-cycles chained at the cut vertices 11 and 6, and a triangle
+    # hung on vertex 9: three DPs, each on a 4-cycle, rooted at its lowest
+    # vertex or at its parent separator, which is vertex 11, the last of
+    # {4, 5, 6, 11}, in one of them; none on the triangle
+    cycles = [(0, 1, 2, 11), (11, 4, 5, 6), (6, 7, 8, 9)]
+    edges = [(c[i], c[i - 1]) for c in cycles for i in range(4)] + [(9, 10), (10, 3), (3, 9)]
+    g = Graph(12, edges).with_weights([1, 2, 3, 7, 5, 6, 7, 8, 9, 1, 7, 4])
+    roots = []
+    real = engine.solve_bt
+
+    def spy(h, pmcs, blocks, w, root=1):
+        roots.append((h.n, root))
+        return real(h, pmcs, blocks, w, root)
+
+    monkeypatch.setattr(engine, "solve_bt", spy)
+    res = solve_mwis(g)
+    assert (res.weight, res.vertices) == exhaustive_mwis(g)
+    assert sorted(roots) == [(4, 1), (4, 1), (4, 8)]
+    assert (res.stats.minseps, res.stats.pmcs) == (9, 13)
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [("chordal", 100), ("chordal", 300), ("grow_lhf", 100), ("grow_lhf", 200), ("grow_lhf", 300)],
+)
+def test_matches_networkx_tree_decomposition_at_n_100_to_300(family, n):
+    # far beyond the subset oracles: the canonical witness decoded from a
+    # subset DP over networkx's min-fill-in tree decomposition
+    pytest.importorskip("networkx")
+    rng = random.Random(f"td:{family}:{n}")
+    g = random_chordal(n, 2 * n, rng)
+    if family == "grow_lhf":
+        g = grow_lhf(g, n // 2, rng)
+    g = random_weights(g, rng, "skew")
+    res = solve_mwis(g)
+    assert (res.weight, res.mask) == _canonical_by_oracle(g, tree_decomposition_mwis)
+
+
 def test_solve_bt_rejects_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(PreconditionError):
-        solve_bt(g, [], [])
+        solve_bt(g, [], [], [1] * g.n)
 
 
 def test_solve_mwis_edgeless():

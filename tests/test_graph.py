@@ -7,10 +7,18 @@ import pytest
 
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import GraphFormatError
-from holefree.families import cycle_graph, complete_graph, er_graph, star_graph
+from holefree.families import er_graph
 from holefree.graph import MAX_VERTICES, Graph, emit_graph, format_weight, parse_graph
 
-from oracles import c4, naive_components, naive_neighborhood, p4
+from oracles import (
+    c4,
+    complete_graph,
+    cycle_graph,
+    naive_components,
+    naive_neighborhood,
+    p4,
+    star_graph,
+)
 
 
 def test_components_c4_opposite_pair():

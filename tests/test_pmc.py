@@ -10,8 +10,6 @@ import holefree.pmc
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import CapacityExceededError, PreconditionError
 from holefree.families import (
-    complete_bipartite,
-    complete_graph,
     er_graph,
     grow_lhf,
     prism_graph,
@@ -19,7 +17,6 @@ from holefree.families import (
 )
 from holefree.graph import Graph
 from holefree.pmc import (
-    atoms,
     block_family,
     dominate_pmc,
     enumerate_pmcs,
@@ -30,7 +27,7 @@ from holefree.pmc import (
     lift_separator,
     may_be_pmc,
 )
-from holefree.recognition import clique_tree, find_long_hole, is_chordal
+from holefree.recognition import clique_atoms, clique_tree, find_long_hole, is_chordal
 from holefree.separators import (
     Separator,
     analyze_separator,
@@ -41,9 +38,12 @@ from holefree.separators import (
 from oracles import (
     brute_force_pmcs,
     c4,
+    complete_bipartite,
+    complete_graph,
     cover_of,
     naive_neighborhood,
     p4,
+    reference_atoms,
     reference_certify_pmc,
     reference_pmcs,
     whole_graph_pmcs,
@@ -184,7 +184,7 @@ def _multi_atom_corpus():
     out = []
     while len(out) < 200:
         g = er_graph(rng.randint(2, 13), rng.uniform(0.1, 0.6), rng)
-        if len(atoms(g, enumerate_minimal_separators(g))) > 1:
+        if len(clique_atoms(g)) > 1:
             out.append(g)
     return out
 
@@ -195,7 +195,7 @@ def test_atom_family_matches_bruteforce_on_multi_atom_graphs():
         seps = enumerate_minimal_separators(g)
         assert enumerate_pmcs(g, seps) == brute_force_pmcs(g), g.adj
         disconnected += not g.is_connected()  # the empty set is a clique separator
-        swept += any(not g.is_clique(a) for a in atoms(g, seps))
+        swept += any(not g.is_clique(a) for a, _ in clique_atoms(g))
     assert disconnected > 50 and swept > 50
 
 
@@ -219,14 +219,22 @@ def test_atom_family_matches_whole_graph_sweep():
     for g in _lhf_and_chordal():
         seps = enumerate_minimal_separators(g)
         assert enumerate_pmcs(g, seps) == whole_graph_pmcs(g), g.adj
-        swept += sum(not g.is_clique(a) for a in atoms(g, seps))
+        swept += sum(not g.is_clique(a) for a, _ in clique_atoms(g))
     assert swept >= 10
 
 
 def _assert_atom_laws(g):
     seps = enumerate_minimal_separators(g)
-    parts = atoms(g, seps)
+    pieces = clique_atoms(g)
+    parts = [a for a, _ in pieces]
+    assert sorted(parts) == sorted(reference_atoms(g, seps)), g.adj
     assert len(set(parts)) == len(parts)
+    # split order: each parent separator is a clique inside a later atom,
+    # and the root comes last with the empty one
+    assert pieces[-1][1] == 0
+    for i, (a, s) in enumerate(pieces[:-1]):
+        assert s & ~a == 0 and g.is_clique(s), g.adj
+        assert any(s & ~b == 0 for b, _ in pieces[i + 1 :]), g.adj
     for a in parts:
         assert not any(a != b and a & ~b == 0 for b in parts), g.adj
         h = g.induced(a)[0]

@@ -13,7 +13,8 @@ st = pytest.importorskip("hypothesis.strategies")
 from holefree.bits import canonical_key, iter_bits, mask_of, to_tuple  # noqa: E402
 from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
-from holefree.pmc import atoms, block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
+from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
+from holefree.recognition import clique_atoms  # noqa: E402
 from holefree.separators import (  # noqa: E402
     absorb_last_vertex,
     add_last_vertex,
@@ -22,7 +23,12 @@ from holefree.separators import (  # noqa: E402
     enumerate_minimal_separators,
 )
 
-from oracles import brute_force_minimal_separators, brute_force_pmcs, exhaustive_mwis  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_minimal_separators,
+    brute_force_pmcs,
+    exhaustive_mwis,
+    reference_atoms,
+)
 
 derandomized = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -58,11 +64,37 @@ def test_no_prefix_or_atom_has_more_minimal_separators_than_g(g):
     assert sizes == sorted(sizes)
     minseps = enumerate_minimal_separators(g)
     known = {s.set for s in minseps}
-    for atom in atoms(g, minseps):
+    for atom, _ in clique_atoms(g):
         if not g.is_clique(atom):
             h, vmap = g.induced(atom)
             for s in enumerate_minimal_separators(h):
                 assert mask_of(vmap[v] for v in iter_bits(s.set)) in known
+
+
+@derandomized
+@hypothesis.given(graphs(max_n=12))
+def test_clique_atoms_match_the_reference_split_and_count_g(g):
+    # the one-pass atoms are those of the split along Δ(g), on connected and
+    # disconnected graphs alike; on each component, its distinct clique
+    # minimal separators and the minimal separators of its other atoms are
+    # Δ, and its clique atoms and the PMCs of the other atoms are Π
+    minseps = enumerate_minimal_separators(g)
+    assert sorted(a for a, _ in clique_atoms(g)) == sorted(reference_atoms(g, minseps))
+    for comp in g.components():
+        sub = g.induced(comp)[0]
+        pieces = clique_atoms(sub)
+        seps = len({s for _, s in pieces[:-1]})
+        pmcs = 0
+        for atom, _ in pieces:
+            if sub.is_clique(atom):
+                pmcs += 1
+                continue
+            h = sub.induced(atom)[0]
+            atom_seps = enumerate_minimal_separators(h)
+            seps += len(atom_seps)
+            pmcs += len(enumerate_pmcs(h, atom_seps))
+        sub_seps = enumerate_minimal_separators(sub)
+        assert (seps, pmcs) == (len(sub_seps), len(enumerate_pmcs(sub, sub_seps)))
 
 
 @derandomized
@@ -97,7 +129,7 @@ def test_dropped_records_equal_the_flooded_ones(g, data):
     # the record of any X in g gives that of X - a in g - a, a the last vertex
     hypothesis.assume(g.n >= 1)
     x = data.draw(st.integers(0, g.full_mask))
-    rec = drop_last_vertex(g, analyze_separator(g, x))
+    rec = drop_last_vertex(g, analyze_separator(g, x), g.flood)
     assert rec == analyze_separator(g.prefix(g.n - 1), x & ~(1 << (g.n - 1)))
 
 

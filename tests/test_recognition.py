@@ -8,10 +8,7 @@ import pytest
 from holefree.bits import mask_of
 from holefree.errors import CapacityExceededError, PreconditionError
 from holefree.families import (
-    complete_graph,
-    cycle_graph,
     er_graph,
-    path_graph,
     prism_graph,
     grow_lhf,
     random_chordal,
@@ -32,8 +29,11 @@ from holefree.separators import enumerate_minimal_separators
 
 from oracles import (
     c4,
+    complete_graph,
+    cycle_graph,
     has_induced_cycle,
     minimal_fillins,
+    path_graph,
     prism_exists_bruteforce,
     reference_clique_tree,
     reference_grow_lhf,

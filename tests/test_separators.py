@@ -6,7 +6,7 @@ import pytest
 
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import CapacityExceededError, OracleLimitError, PreconditionError
-from holefree.families import complete_graph, er_graph, prism_graph, random_chordal
+from holefree.families import er_graph, prism_graph, random_chordal
 from holefree import separators
 from holefree.graph import Graph
 from holefree.recognition import largest_prism
@@ -19,6 +19,7 @@ from holefree.separators import (
 from oracles import (
     brute_force_minimal_separators,
     c4,
+    complete_graph,
     component_cover_witness,
     excess_full,
     p4,
@@ -118,6 +119,18 @@ def test_capacity_cap_trips():
         assert len(enumerate_minimal_separators(g, cap=total)) == total
 
 
+def test_capacity_cap_counts_separators_found_elsewhere():
+    # with ``counted`` more found elsewhere, a trip happens iff
+    # counted + |Δ| > cap, still at count cap + 1, also when counted alone
+    # uses the whole budget
+    g = prism_graph(4)
+    for counted in range(1, 15):
+        with pytest.raises(CapacityExceededError) as err:
+            enumerate_minimal_separators(g, cap=14, counted=counted)
+        assert err.value.count == 15
+    assert len(enumerate_minimal_separators(g, cap=17, counted=3)) == 14
+
+
 def test_records_are_built_only_after_the_closure(monkeypatch):
     # a cap trip builds no separator record; a complete run builds one per
     # minimal separator
@@ -173,16 +186,21 @@ def test_each_closure_floods_a_region_once(monkeypatch):
     corpus = [prism_graph(k) for k in range(3, 9)]
     corpus += [er_graph(rng.randint(8, 14), rng.uniform(0.2, 0.5), rng) for _ in range(6)]
     corpus += [random_chordal(30, 60, rng)]
+    # the prefix chain floods each component that holds the vertex it drops
+    # once per level, however many separators share it: on the 8-prism once
+    # per separator that avoids that vertex, 2^(k-1) - 1 of the 2^k - 2 at
+    # each level (176 floods on the chordal graph and 96 on the ER graph
+    # with n = 13 when each separator flooded its own)
+    prefix_floods = {prism_graph(8): 254, corpus[10]: 85, corpus[12]: 132}
+    assert (corpus[10].n, corpus[12].n) == (13, 30)
     for g in corpus:
         closure.clear()
         seps = enumerate_minimal_separators(g)
         assert len(closure) == len(set(closure)) > 0
-        if g == prism_graph(8):
-            # the prefix chain floods once per separator that avoids the
-            # vertex it drops: 2^(k-1) - 1 of the 2^k - 2 at each level
+        if g in prefix_floods:
             every.clear()
             prefix_separators(g, seps)
-            assert len(every) == 254
+            assert len(every) == prefix_floods[g]
 
 
 def test_cap_trip_cost(monkeypatch):

@@ -15,16 +15,12 @@ from holefree.errors import (
     WidthLimitError,
 )
 from holefree.families import (
-    complete_graph,
-    cycle_graph,
     er_graph,
     grow_lhf,
-    path_graph,
     prism_graph,
     random_chordal,
     WEIGHT_STYLES,
     random_weights,
-    star_graph,
 )
 from holefree.graph import Graph
 from holefree.recognition import find_k_prism, find_long_hole
@@ -40,7 +36,14 @@ from holefree.solvers import (
     solve_treewidth_dp,
 )
 
-from oracles import exhaustive_mwc, reference_balanced_separator
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    exhaustive_mwc,
+    path_graph,
+    reference_balanced_separator,
+    star_graph,
+)
 
 
 # -- pipeline -----------------------------------------------------------------
