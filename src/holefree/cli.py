@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .engine import SolveConfig, SolveResult
+from .engine import SolveConfig, SolveResult, atom_families
 from .errors import (
     CapacityExceededError,
     GenerationError,
@@ -32,9 +32,8 @@ from .errors import (
 )
 from .families import lhf_filter, prism_graph, random_chordal
 from .graph import Graph, emit_graph, format_weight, parse_graph
-from .pmc import dominate_pmc, enumerate_pmcs
+from .pmc import dominate_pmc
 from .recognition import find_long_hole, is_chordal, largest_prism
-from .separators import enumerate_minimal_separators
 from .solvers import STRATEGIES, balanced_separator, solve
 
 EXIT_OK = 0
@@ -138,22 +137,33 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     g = _load(args.graph)
     t0 = time.perf_counter()
-    minseps = enumerate_minimal_separators(g, cap=args.cap_seps)
-    pmcs = enumerate_pmcs(g, minseps, cap=args.cap_pmcs)
+    config = SolveConfig(cap_seps=args.cap_seps, cap_pmcs=args.cap_pmcs)
+    atoms, minseps, pmcs = atom_families(g, config)
     prism = largest_prism(g, args.max_k)
     # the graph is (prism+1)-prism-free, which bounds the separator count
     free_k = prism + 1
     bound = g.n ** (free_k + 2)
+    # each PMC is dominated on its own atom A, which keeps the counts of g:
+    # the single-vertex test reads only the PMC's rows, and a vertex of a
+    # piece D of g - A can be swapped for one of the clique N(D)
+    found: list[tuple[int, str]] = []
+    for atom, _, part in atoms:
+        if part is None:  # a clique atom is its own PMC
+            found.append((atom, "single-vertex"))
+            continue
+        h, _, _, family = part
+        for p in family:
+            try:
+                found.append((p.set, dominate_pmc(h, p).method))
+            except NoDominationError:
+                found.append((p.set, "none"))
     # "none": no 3-set dominates the PMC, which only an input outside the
     # class can show; data, like verify's verdicts
     histogram = {"single-vertex": 0, "lemma-chain": 0, "brute-fallback": 0, "none": 0}
     sizes: dict[str, int] = {}
-    for p in pmcs:
-        try:
-            histogram[dominate_pmc(g, p).method] += 1
-        except NoDominationError:
-            histogram["none"] += 1
-        key = str(p.set.bit_count())
+    for pmc, method in found:
+        histogram[method] += 1
+        key = str(pmc.bit_count())
         sizes[key] = sizes.get(key, 0) + 1
     bal = None
     if g.n > 0 and g.is_connected() and g.total_weight() > 0:
@@ -165,11 +175,11 @@ def cmd_analyze(args) -> int:
             "bound": 3 * (g.max_degree() + 1),
         }
     analysis = {
-        "minseps": len(minseps),
+        "minseps": minseps,
         "minsep_bound": bound,
         "minsep_bound_exponent": free_k + 2,
-        "minsep_bound_ok": len(minseps) <= bound,
-        "pmcs": len(pmcs),
+        "minsep_bound_ok": minseps <= bound,
+        "pmcs": pmcs,
         "pmc_sizes": dict(sorted(sizes.items(), key=lambda kv: int(kv[0]))),
         "largest_prism": prism,
         "dom_histogram": histogram,
@@ -178,10 +188,10 @@ def cmd_analyze(args) -> int:
     stats = {"time_ms": round((time.perf_counter() - t0) * 1000.0, 3), "table_entries": 0}
     report = _report("analyze", args.graph, analysis=analysis, stats=stats)
     lines = [
-        f"minseps: {len(minseps)}",
-        f"bound check: {len(minseps)} <= {g.n}^{free_k + 2} "
-        f"{'pass' if len(minseps) <= bound else 'FAIL'}",
-        f"pmcs: {len(pmcs)}",
+        f"minseps: {minseps}",
+        f"bound check: {minseps} <= {g.n}^{free_k + 2} "
+        f"{'pass' if minseps <= bound else 'FAIL'}",
+        f"pmcs: {pmcs}",
         "domination: "
         + "  ".join(f"{k}={v}" for k, v in histogram.items()),
     ]

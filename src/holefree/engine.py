@@ -281,14 +281,9 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     vertex, which is then taken when its adjusted weight is positive.
     Every value is a sum of perturbed weights over one independent set of
     g, so the total is still the one maximum, and decodes to the canonical
-    witness.
-
-    The caps count the separators and PMCs of the whole component: its
-    distinct clique minimal separators and the minimal separators of its
-    atoms are its minimal separators, and its clique atoms and the PMCs of
-    its other atoms are its PMCs.  Every atom's separators are
-    counted before any PMC, so a component trips the cap it tripped when
-    it was enumerated whole, at the same count for the separators.
+    witness.  The atoms, their families and the caps, which count the
+    separators and PMCs of the whole component, come from
+    :func:`atom_families`.
     """
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
@@ -307,37 +302,65 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     return SolveResult(weight, to_tuple(mask), "bt", stats)
 
 
-def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
-    """The best sum of ``w`` over the independent sets of a connected g,
-    atom by atom (see :func:`solve_mwis`); ``w`` is adjusted in place."""
+def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
+    """The atoms of g, each with its families, and |Δ(g)| and |Π(g)|.
+
+    One (atom A, parent separator S, part) triple per atom of
+    :func:`~holefree.recognition.clique_atoms`, in split order, the root
+    last with S = ∅; the empty graph has none.  The part is None for a
+    clique atom, its own one PMC, and otherwise (h, hmap, minseps, pmcs):
+    h = g[A], its labels in g, and its minimal separators and PMCs.
+
+    Δ(g) is the distinct clique minimal separators and Δ of each atom
+    (Berry, Pogorelcnik & Simonet 2010), and Π(g) the clique atoms and Π
+    of each other atom (by Leimer's theorem the minimal triangulations of
+    g are the unions of those of its atoms); the caps count those.  Every
+    atom's separators are counted before any PMC, so g trips the cap, and
+    at the same separator count, that it would trip if enumerated whole.
+    """
+    if not g.n:
+        return [], 0, 0
     pieces = clique_atoms(g)
-    v0 = (pieces[-1][0] & -pieces[-1][0]).bit_length() - 1
-    pieces[-1] = (pieces[-1][0], 1 << v0)
     seps = len({sep for _, sep in pieces[:-1]})
     if cfg.cap_seps and seps > cfg.cap_seps:
         raise CapacityExceededError("minimal separators", cfg.cap_seps, seps)
-    work = []
-    for atom, sep in pieces:
+    parts = []
+    for atom, _ in pieces:
         if g.is_clique(atom):
-            work.append((atom, sep, None))
+            parts.append(None)
             continue
         h, hmap = g.induced(atom)
         minseps = enumerate_minimal_separators(h, cap=cfg.cap_seps, counted=seps)
         seps += len(minseps)
-        work.append((atom, sep, (h, hmap, minseps)))
-    pmcs = sum(part is None for _, _, part in work)
+        parts.append((h, hmap, minseps))
+    pmcs = parts.count(None)
     if cfg.cap_pmcs and pmcs > cfg.cap_pmcs:
         raise CapacityExceededError("potential maximal cliques", cfg.cap_pmcs, pmcs)
+    out = []
+    for (atom, sep), part in zip(pieces, parts):
+        if part is not None:
+            h, hmap, minseps = part
+            family = enumerate_pmcs(h, minseps, cap=cfg.cap_pmcs, counted=pmcs)
+            pmcs += len(family)
+            part = (h, hmap, minseps, family)
+        out.append((atom, sep, part))
+    return out, seps, pmcs
 
+
+def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
+    """The best sum of ``w`` over the independent sets of a connected g,
+    atom by atom (see :func:`solve_mwis`); ``w`` is adjusted in place."""
+    atoms, seps, pmcs = atom_families(g, cfg)
+    root = atoms[-1][0]
+    v0 = (root & -root).bit_length() - 1
+    atoms[-1] = (root, 1 << v0, atoms[-1][2])
     value = 0
-    for atom, sep, part in work:
+    for atom, sep, part in atoms:
         if part is None:
             none = max([0] + [w[v] for v in iter_bits(atom & ~sep)])
             table = {v: 0 for v in iter_bits(sep)}
         else:
-            h, hmap, minseps = part
-            family = enumerate_pmcs(h, minseps, cap=cfg.cap_pmcs, counted=pmcs)
-            pmcs += len(family)
+            h, hmap, minseps, family = part
             top = mask_of(i for i, v in enumerate(hmap) if sep >> v & 1)
             res = solve_bt(h, family, block_family(minseps), [w[v] for v in hmap], top)
             stats.blocks += res.stats.blocks

@@ -19,14 +19,9 @@ rows only (:func:`cut_pmc`).  The minimal separators of every prefix
 graph are read off those of the whole graph.  S | (T & C) is certified
 only once a test on adjacency rows has not ruled it out.
 
-The sweep runs once per atom of the clique minimal separator
-decomposition (Tarjan, "Decomposition by clique separators", Discrete
-Math. 1985; Berry, Pogorelcnik & Simonet, "An introduction to clique
-minimal separator decomposition", Algorithms 2010).  The minimal
-triangulations of g are the unions of minimal triangulations of its atoms
-(Leimer), so the PMCs of g are those of its atoms; a clique atom is its
-own single PMC and needs no sweep.  The PMC cap bounds every prefix
-family of every sweep and the union over the atoms.
+The sweep is exact on any graph.  Splitting a graph into its atoms along
+its clique minimal separators first, and sweeping only the atoms that are
+not cliques, is :func:`~holefree.engine.atom_families`' job.
 """
 
 from __future__ import annotations
@@ -34,22 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bits import canonical_key, iter_bits, mask_of, to_tuple
+from .bits import canonical_key, iter_bits, to_tuple
 from .errors import (
     CapacityExceededError,
     NoDominationError,
     PreconditionError,
-    SolverInvariantError,
     WitnessNotFoundError,
 )
 from .graph import Graph
-from .recognition import clique_atoms
 from .separators import (
     Separator,
     absorb_last_vertex,
     add_last_vertex,
     analyze_separator,
-    enumerate_minimal_separators,
+    enumerate_minimal_separators,  # noqa: F401  (wrapped by perfbench/tracer.py)
     prefix_separators,
 )
 
@@ -183,52 +176,23 @@ def may_be_pmc(adj: tuple[int, ...], cand: int, x: int, rest: int) -> bool:
 def enumerate_pmcs(
     g: Graph, minseps: list[Separator], cap: int = 0, counted: int = 0
 ) -> list[Separator]:
-    """The complete, canonically sorted PMC family of g.
+    """The complete, canonically sorted PMC family of g, certified on g,
+    by the sweep over its prefix graphs (:func:`_sweep`).  The sweep is
+    exact on any graph; splitting g into its atoms first is left to the
+    caller (:func:`~holefree.engine.atom_families`).
 
-    The enumeration first splits g into its atoms along its clique minimal
-    separators (:func:`~holefree.recognition.clique_atoms`; Tarjan,
-    Discrete Math. 1985; Berry, Pogorelcnik & Simonet, Algorithms 2010).
-    By Leimer's theorem the minimal triangulations of g are the unions of
-    minimal triangulations of its atoms, so the PMCs of g are those of its
-    atoms.  A clique atom is its own single PMC.  Every other atom is swept
-    as its own induced graph (:func:`_sweep`), from its minimal separators,
-    and its PMCs are mapped back to g's labels.  Each PMC is then certified
-    once on g, so it carries its components and neighborhoods in g.  When
-    g is a single atom, it is swept in place with ``minseps``.
-
-    ``cap`` bounds every prefix family of every sweep and the union, each
-    with ``counted`` more PMCs found elsewhere (the other atoms of a
-    graph); over it, CapacityExceededError.  A cap on ``minseps`` = Δ(g)
-    bounds every separator family built here: Δ of an atom lies in Δ(g)
-    (Berry et al. 2010), and |Δ(G_i)| grows with i (:func:`_sweep`).
+    ``cap`` bounds every prefix family, each with ``counted`` more PMCs
+    found elsewhere (the other atoms of a graph); over it,
+    CapacityExceededError.  A cap on ``minseps`` = Δ(g) bounds every
+    separator family built here, as |Δ(G_i)| grows with i (:func:`_sweep`).
 
     ``minseps`` must be all of Δ(g): every prefix family of the sweep is
-    read off it when g is one atom.  The result is checked against it: the
-    neighborhood of each component left by a PMC must be in it.  That
-    catches an omission only when some returned PMC exposes it; otherwise
-    a smaller family comes back.
+    read off it.  The result is checked against it: the neighborhood of
+    each component left by a PMC must be in it.  That catches an omission
+    only when some returned PMC exposes it; otherwise a smaller family
+    comes back.
     """
-    parts = [atom for atom, _ in clique_atoms(g)]
-    if len(parts) == 1:
-        family = _sweep(g, minseps, cap, counted)
-    else:
-        sets: list[int] = []
-        for atom in parts:
-            if g.is_clique(atom):
-                sets.append(atom)
-                continue
-            h, vmap = g.induced(atom)
-            for pmc in _sweep(h, enumerate_minimal_separators(h), cap, counted):
-                sets.append(mask_of(vmap[v] for v in iter_bits(pmc.set)))
-        if cap and counted + len(sets) > cap:
-            raise CapacityExceededError("potential maximal cliques", cap, counted + len(sets))
-        family = []
-        for cand in sets:
-            pmc = is_pmc(g, cand)
-            if pmc is None:
-                raise SolverInvariantError(f"PMC {to_tuple(cand)} of an atom is not one of g")
-            family.append(pmc)
-
+    family = _sweep(g, minseps, cap, counted)
     known = {s.set for s in minseps}
     for pmc in family:
         if any(nb not in known for nb in pmc.neighborhoods):

@@ -420,13 +420,20 @@ def reference_pmcs(g: Graph) -> list[int]:
     return sorted(family, key=to_tuple)
 
 
-def whole_graph_pmcs(g: Graph):
-    """The certified PMC family of g by the prefix sweep over all of g,
-    without the split into atoms, canonically sorted."""
-    from holefree.pmc import _sweep
-    from holefree.separators import enumerate_minimal_separators
+def atom_pmc_sets(g: Graph) -> list[int]:
+    """The PMCs of g as read off :func:`holefree.engine.atom_families`:
+    each clique atom, and each PMC of every other atom in g's labels,
+    canonically sorted."""
+    from holefree.engine import SolveConfig, atom_families
 
-    return sorted(_sweep(g, enumerate_minimal_separators(g), 0, 0), key=lambda p: to_tuple(p.set))
+    sets = []
+    for atom, _, part in atom_families(g, SolveConfig())[0]:
+        if part is None:
+            sets.append(atom)
+        else:
+            _, hmap, _, pmcs = part
+            sets += [mask_of(hmap[v] for v in iter_bits(p.set)) for p in pmcs]
+    return sorted(sets, key=to_tuple)
 
 
 def reference_atoms(g: Graph, minseps) -> list[int]:

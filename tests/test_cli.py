@@ -2,14 +2,18 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from holefree import cli, engine
 from holefree.cli import main
-from holefree.errors import CapacityExceededError, PreconditionError
-from holefree.families import er_graph, prism_graph
+from holefree.errors import CapacityExceededError, NoDominationError, PreconditionError
+from holefree.families import er_graph, grow_lhf, prism_graph, random_chordal
 from holefree.graph import Graph, emit_graph, parse_graph
+from holefree.pmc import dominate_pmc, enumerate_pmcs
+from holefree.recognition import clique_atoms
+from holefree.separators import enumerate_minimal_separators
 
 from oracles import complete_graph, cycle_graph, path_graph
 
@@ -63,23 +67,28 @@ def test_solve_capacity_exits_3(prism3_file, capsys):
 
 def test_pmc_cap_trips_on_the_union_of_atoms(tmp_path, capsys):
     # three 4-cycles chained at cut vertices: three atoms with 4 PMCs each,
-    # and no prefix family of an atom's sweep holds more than 4
+    # and no prefix family of an atom's sweep holds more than 4.  Both
+    # commands count the atoms' families the same way, so a cap that the
+    # first atoms use up trips inside the next one's sweep
     edges = [(i, i + 1) for i in range(9)] + [(0, 3), (3, 6), (6, 9)]
     f = tmp_path / "c4-chain.gr"
     f.write_text(emit_graph(Graph(10, edges)))
     for command in (["solve", str(f), "--strategy", "bt"], ["analyze", str(f)]):
-        assert main([*command, "--cap-pmcs", "11"]) == 3
-        err = capsys.readouterr().err
-        assert "potential maximal cliques: cap 11 exceeded (12 found so far)" in err
+        for cap, found in ((5, 6), (8, 9), (11, 12)):
+            assert main([*command, "--cap-pmcs", str(cap)]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: potential maximal cliques: cap {cap} exceeded ({found} found so far)\n"
         assert main([*command, "--cap-pmcs", "12"]) == 0
 
 
 def test_separator_cap_counts_every_atom(tmp_path, capsys, monkeypatch):
     # the same chain: clique minimal separators {3} and {6}, and two minimal
     # separators in each 4-cycle, 8 in all, no atom holding more than 2.  At
-    # cap 6 the clique separators and two atoms use the budget up exactly,
-    # and the third atom trips at its first separator; at cap 7 it trips at
-    # its second.  Either trip raises out of the separator enumeration.
+    # cap 2 the clique separators use the budget up and the first atom trips
+    # at its first separator; at cap 6 the clique separators and two atoms
+    # use it up exactly, and the third atom trips at its first separator; at
+    # cap 7 it trips at its second.  Each trip raises out of the separator
+    # enumeration, in solve and analyze alike.
     edges = [(i, i + 1) for i in range(9)] + [(0, 3), (3, 6), (6, 9)]
     f = tmp_path / "c4-chain.gr"
     f.write_text(emit_graph(Graph(10, edges)))
@@ -94,13 +103,15 @@ def test_separator_cap_counts_every_atom(tmp_path, capsys, monkeypatch):
             raise
 
     monkeypatch.setattr(engine, "enumerate_minimal_separators", spy)
-    for cap in (6, 7):
-        assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", str(cap)]) == 3
-        err = capsys.readouterr().err
-        assert err == f"error: minimal separators: cap {cap} exceeded ({cap + 1} found so far)\n"
-    assert trips == [4, 4]
-    assert main(["solve", str(f), "--strategy", "bt", "--cap-seps", "8", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["stats"]["minseps"] == 8
+    for command in (["solve", str(f), "--strategy", "bt"], ["analyze", str(f)]):
+        for cap in (2, 6, 7):
+            assert main([*command, "--cap-seps", str(cap)]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: minimal separators: cap {cap} exceeded ({cap + 1} found so far)\n"
+        assert main([*command, "--cap-seps", "8", "--json"]) == 0
+        report = _json_out(capsys)
+        assert (report["stats"] if command[0] == "solve" else report["analysis"])["minseps"] == 8
+    assert trips == [4] * 6
 
 
 def test_separator_cap_counts_clique_separators_with_no_enumeration(tmp_path, capsys):
@@ -223,6 +234,83 @@ def test_analyze_counts_pmcs_with_no_3_set_dominator(tmp_path, capsys):
     assert histogram == {"single-vertex": 15, "lemma-chain": 59, "brute-fallback": 172, "none": 2}
     assert main(["analyze", str(f)]) == 0
     assert "brute-fallback=172  none=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "g, counts", [(Graph(0), (0, 0, 0)), (Graph(1), (0, 1, 1)), (Graph(3), (1, 3, 3))]
+)
+def test_analyze_counts_on_graphs_with_no_edge(tmp_path, capsys, g, counts):
+    # (minseps, pmcs, single-vertex): the empty graph has no atom and no
+    # PMC; three isolated vertices are three clique atoms split along the
+    # one minimal separator, the empty set
+    f = tmp_path / "g.gr"
+    f.write_text(emit_graph(g))
+    assert main(["analyze", str(f), "--json"]) == 0
+    a = _json_out(capsys)["analysis"]
+    assert (a["minseps"], a["pmcs"], a["dom_histogram"]["single-vertex"]) == counts
+
+
+def _whole_graph_analysis(g):
+    """analyze's counts from the whole graph: Δ(g), the sweep of all of g,
+    and each PMC dominated on g from its certificate in g."""
+    minseps = enumerate_minimal_separators(g)
+    pmcs = enumerate_pmcs(g, minseps)
+    histogram = {"single-vertex": 0, "lemma-chain": 0, "brute-fallback": 0, "none": 0}
+    for p in pmcs:
+        try:
+            histogram[dominate_pmc(g, p).method] += 1
+        except NoDominationError:
+            histogram["none"] += 1
+    sizes = Counter(p.set.bit_count() for p in pmcs)
+    return {
+        "minseps": len(minseps),
+        "pmcs": len(pmcs),
+        "pmc_sizes": {str(k): sizes[k] for k in sorted(sizes)},
+        "dom_histogram": histogram,
+    }
+
+
+def _multi_atom_graphs():
+    rng = random.Random(2401)
+    out = []
+    for _ in range(2):
+        out.append(grow_lhf(random_chordal(120, 240, rng), 120, rng, forbid_prism=3))
+    while len(out) < 42:
+        g = er_graph(rng.randint(8, 15), rng.uniform(0.15, 0.5), rng)
+        if len(clique_atoms(g)) > 1:
+            out.append(g)
+    # ER n = 15 seed 96 is one atom with 2 PMCs that no 3-set dominates;
+    # hang a path on it, or add a 4-cycle beside it
+    er96 = er_graph(15, 0.25, random.Random(96))
+    out.append(Graph(17, [*er96.edges(), (0, 15), (15, 16)]))
+    out.append(Graph(19, [*er96.edges(), (15, 16), (16, 17), (17, 18), (18, 15)]))
+    for _ in range(6):
+        a, b = er_graph(rng.randint(4, 9), 0.4, rng), random_chordal(rng.randint(3, 12), 15, rng)
+        out.append(Graph(a.n + b.n, [*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges())]))
+    return out
+
+
+def test_analyze_dominates_each_pmc_on_its_atom_as_on_g(tmp_path, capsys):
+    """analyze dominates each PMC Ω of an atom A on g[A]; the counts must be
+    those of g.  The single-vertex test reads only Ω's rows, which g[A]
+    keeps.  A 3-set of g that dominates Ω stays one when each of its
+    vertices outside A, in a piece D of g - A, is swapped for a vertex of
+    N(D), which is a clique that holds all of that vertex's neighbours in A
+    (or dropped when N(D) is empty), so the none count is the same.  On
+    long-hole-free input the lemma chain succeeds on g[A] as on g; on
+    other input the split between lemma-chain and brute-fallback is
+    checked here on data only."""
+    seen = Counter()
+    for i, g in enumerate(_multi_atom_graphs()):
+        assert len(clique_atoms(g)) > 1
+        f = tmp_path / f"g{i}.gr"
+        f.write_text(emit_graph(g))
+        assert main(["analyze", str(f), "--json"]) == 0
+        analysis = _json_out(capsys)["analysis"]
+        want = _whole_graph_analysis(g)
+        assert {k: analysis[k] for k in want} == want, g.adj
+        seen.update(k for k, v in want["dom_histogram"].items() if v)
+    assert min(seen.values()) >= 1 and len(seen) == 4
 
 
 def test_analyze_cap_seps_is_exact_on_the_8_prism(tmp_path, capsys):

@@ -36,6 +36,7 @@ from holefree.separators import (
 )
 
 from oracles import (
+    atom_pmc_sets,
     brute_force_pmcs,
     c4,
     complete_bipartite,
@@ -46,7 +47,6 @@ from oracles import (
     reference_atoms,
     reference_certify_pmc,
     reference_pmcs,
-    whole_graph_pmcs,
 )
 
 
@@ -190,10 +190,13 @@ def _multi_atom_corpus():
 
 
 def test_atom_family_matches_bruteforce_on_multi_atom_graphs():
+    # both the sweep of the whole graph and the families of its atoms
     disconnected = swept = 0
     for g in _multi_atom_corpus():
         seps = enumerate_minimal_separators(g)
-        assert enumerate_pmcs(g, seps) == brute_force_pmcs(g), g.adj
+        brute = brute_force_pmcs(g)
+        assert enumerate_pmcs(g, seps) == brute, g.adj
+        assert atom_pmc_sets(g) == [p.set for p in brute], g.adj
         disconnected += not g.is_connected()  # the empty set is a clique separator
         swept += any(not g.is_clique(a) for a, _ in clique_atoms(g))
     assert disconnected > 50 and swept > 50
@@ -214,11 +217,13 @@ def _lhf_and_chordal():
 
 
 def test_atom_family_matches_whole_graph_sweep():
-    # equal as lists of records: the same sets, components and neighborhoods
+    # the families of the atoms, certified on g, are the sweep's records of
+    # the whole graph: the same sets, components and neighborhoods
     swept = 0
     for g in _lhf_and_chordal():
         seps = enumerate_minimal_separators(g)
-        assert enumerate_pmcs(g, seps) == whole_graph_pmcs(g), g.adj
+        whole = sorted(enumerate_pmcs(g, seps), key=lambda p: to_tuple(p.set))
+        assert [is_pmc(g, s) for s in atom_pmc_sets(g)] == whole, g.adj
         swept += sum(not g.is_clique(a) for a, _ in clique_atoms(g))
     assert swept >= 10
 

@@ -11,7 +11,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from holefree.bits import canonical_key, iter_bits, mask_of, to_tuple  # noqa: E402
-from holefree.engine import decode, perturbed_weights, solve_mwis  # noqa: E402
+from holefree.engine import (  # noqa: E402
+    SolveConfig,
+    atom_families,
+    decode,
+    perturbed_weights,
+    solve_mwis,
+)
 from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
 from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
 from holefree.recognition import clique_atoms  # noqa: E402
@@ -24,6 +30,7 @@ from holefree.separators import (  # noqa: E402
 )
 
 from oracles import (  # noqa: E402
+    atom_pmc_sets,
     brute_force_minimal_separators,
     brute_force_pmcs,
     exhaustive_mwis,
@@ -75,26 +82,15 @@ def test_no_prefix_or_atom_has_more_minimal_separators_than_g(g):
 @hypothesis.given(graphs(max_n=12))
 def test_clique_atoms_match_the_reference_split_and_count_g(g):
     # the one-pass atoms are those of the split along Δ(g), on connected and
-    # disconnected graphs alike; on each component, its distinct clique
-    # minimal separators and the minimal separators of its other atoms are
-    # Δ, and its clique atoms and the PMCs of the other atoms are Π
+    # disconnected graphs alike; the distinct clique minimal separators and
+    # the minimal separators of the other atoms are Δ(g), and the clique
+    # atoms and the PMCs of the other atoms are Π(g)
     minseps = enumerate_minimal_separators(g)
     assert sorted(a for a, _ in clique_atoms(g)) == sorted(reference_atoms(g, minseps))
-    for comp in g.components():
-        sub = g.induced(comp)[0]
-        pieces = clique_atoms(sub)
-        seps = len({s for _, s in pieces[:-1]})
-        pmcs = 0
-        for atom, _ in pieces:
-            if sub.is_clique(atom):
-                pmcs += 1
-                continue
-            h = sub.induced(atom)[0]
-            atom_seps = enumerate_minimal_separators(h)
-            seps += len(atom_seps)
-            pmcs += len(enumerate_pmcs(h, atom_seps))
-        sub_seps = enumerate_minimal_separators(sub)
-        assert (seps, pmcs) == (len(sub_seps), len(enumerate_pmcs(sub, sub_seps)))
+    _, seps, pmcs = atom_families(g, SolveConfig())
+    family = enumerate_pmcs(g, minseps)
+    assert (seps, pmcs) == (len(minseps), len(family))
+    assert atom_pmc_sets(g) == sorted((p.set for p in family), key=to_tuple)
 
 
 @derandomized
