@@ -29,6 +29,11 @@ from .errors import GraphFormatError
 # second at 2^16 vertices, minutes here, far past any graph a command finishes.
 MAX_VERTICES = 1 << 20
 
+# The largest weight exponent |e| a weight string may carry.  Fraction would
+# build 10^|e| first, which takes seconds at e = 10^7, and a weight past the
+# interpreter's default int-to-string limit of 4300 digits cannot be printed.
+MAX_EXPONENT = 4300
+
 
 class Graph:
     """A finite simple undirected graph with weighted vertices.
@@ -163,9 +168,13 @@ class Graph:
         return True
 
     def is_clique(self, sub: int) -> bool:
-        for v in iter_bits(sub):
-            if sub & ~self.adj[v] & ~(1 << v):
+        adj = self.adj
+        rest = sub
+        while rest:
+            low = rest & -rest
+            if sub & ~adj[low.bit_length() - 1] & ~low:
                 return False
+            rest ^= low
         return True
 
     def weight_of(self, sub: int) -> Fraction:
@@ -245,7 +254,13 @@ class Graph:
 
 
 def parse_weight(text: str) -> Fraction:
-    """Parse a decimal or p/q weight string into an exact Fraction."""
+    """Parse a decimal or p/q weight string into an exact Fraction.
+
+    An exponent beyond ±:data:`MAX_EXPONENT` raises OverflowError before
+    any arithmetic."""
+    _, e, exponent = text.upper().partition("E")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise OverflowError(f"weight exponent {exponent} beyond ±{MAX_EXPONENT}")
     return Fraction(text)
 
 
@@ -279,6 +294,7 @@ def parse_graph(text: str) -> Graph:
     edges = 0
     rows: dict[int, int] = {}  # adjacency rows, filled while parsing
     weight_lines: dict[int, Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct weight string, parsed once
     last_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,12 +324,16 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("malformed weight line, expected 'w <v> <weight>'", lineno)
             try:
                 v = int(parts[1])
-                w = parse_weight(parts[2])
+                w = parsed.get(parts[2])
+                if w is None:
+                    w = parsed[parts[2]] = parse_weight(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise GraphFormatError("malformed weight line", lineno) from None
+            except OverflowError as exc:
+                raise GraphFormatError(str(exc), lineno) from None
             if not 1 <= v <= n:
                 raise GraphFormatError(f"vertex {v} out of range 1..{n}", lineno)
-            if w < 0:
+            if w.numerator < 0:
                 raise GraphFormatError("negative weight", lineno)
             if v - 1 in weight_lines:
                 raise GraphFormatError(f"duplicate weight for vertex {v}", lineno)

@@ -7,7 +7,7 @@ import pytest
 
 from holefree.bits import iter_bits, mask_of, to_tuple
 from holefree.errors import GraphFormatError
-from holefree.families import er_graph
+from holefree.families import er_graph, random_weights
 from holefree.graph import MAX_VERTICES, Graph, emit_graph, format_weight, parse_graph
 
 from oracles import (
@@ -143,6 +143,8 @@ MALFORMED = {
     "p mwis 1 0\nw 1 1/0\n": ("malformed weight line", 2),
     "p mwis 1 0\nw 2 1\n": ("vertex 2 out of range 1..1", 2),
     "p mwis 1 0\nw 1 -2\n": ("negative weight", 2),
+    "p mwis 1 0\nw 1 1e10000000\n": ("weight exponent 10000000 beyond ±4300", 2),
+    "p mwis 1 0\nw 1 2.5E-4301\n": ("weight exponent -4301 beyond ±4300", 2),
     "p mwis 1 0\nw 1 1\nw 1 2\n": ("duplicate weight for vertex 1", 3),
     "e 1 2\n": ("edge line before header", 1),
     "p mwis 2 1\ne 1\n": ("malformed edge line, expected 'e <u> <v>'", 2),
@@ -164,6 +166,42 @@ def test_parse_rejects_malformed(text):
         parse_graph(text)
     assert err.value.line == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_parse_reads_exponents_up_to_the_limit():
+    g = parse_graph("p mwis 3 0\nw 1 1e4300\nw 2 25E-4300\nw 3 0e+17\n")
+    assert g.weights == (Fraction(10**4300), Fraction(25, 10**4300), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "lines, message, line",
+    [
+        (["w 1 -3", "w 2 -3"], "negative weight", 2),
+        (["w 1 2", "w 2 -3", "w 3 -3"], "negative weight", 3),
+        (["w 1 1/0", "w 2 1/0"], "malformed weight line", 2),
+        (["w 1 7", "w 2 7", "w 3 1/0", "w 4 1/0"], "malformed weight line", 4),
+        (["w 1 7", "w 5 7"], "vertex 5 out of range 1..4", 3),
+        (["w 1 7", "w 1 7"], "duplicate weight for vertex 1", 3),
+    ],
+)
+def test_parse_checks_every_line_of_a_repeated_weight(lines, message, line):
+    # each distinct weight string is parsed once; every line is still checked
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph("\n".join(["p mwis 4 0", *lines]) + "\n")
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_gives_equal_strings_equal_weights():
+    g = parse_graph("p mwis 5 0\nw 1 2.5\nw 2 5/2\nw 3 2.5\nw 4 0\nw 5 0\n")
+    assert g.weights == (Fraction(5, 2),) * 3 + (Fraction(0),) * 2
+
+
+@pytest.mark.parametrize("style", ["unit", "int", "decimal", "skew", "zeros"])
+def test_roundtrip_in_every_weight_style(style):
+    rng = random.Random(style)
+    for n in (0, 1, 12, 40):
+        g = random_weights(er_graph(n, 0.3, rng), rng, style)
+        assert parse_graph(emit_graph(g)) == g
 
 
 def test_parse_rejects_a_vertex_count_above_the_limit():

@@ -15,6 +15,7 @@ from holefree.families import (
 )
 from holefree.graph import Graph
 from holefree.recognition import (
+    _mcs_m,
     clique_tree,
     find_k_prism,
     find_long_hole,
@@ -38,7 +39,9 @@ from oracles import (
     reference_clique_tree,
     reference_grow_lhf,
     reference_is_chordal,
+    reference_mcs_order,
     reference_minimal_triangulation,
+    star_graph,
 )
 
 
@@ -325,6 +328,93 @@ def test_mcs_m_matches_reference_on_chordal_and_lhf_graphs():
     for n in (50, 100):
         rng = random.Random(n)
         _assert_mcs_m_matches_reference(grow_lhf(random_chordal(n, 2 * n, rng), n // 5, rng))
+
+
+def _union(*graphs: Graph) -> Graph:
+    """The disjoint union, each graph's labels shifted past the ones before."""
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(u + shift, v + shift) for u, v in g.edges()]
+        shift += g.n
+    return Graph(shift, edges)
+
+
+def _random_tree(n: int, rng: random.Random) -> Graph:
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _chordal_corpus() -> list[Graph]:
+    rng = random.Random(27)
+    trees = [_random_tree(n, rng) for n in range(1, 40, 3)]
+    trees += [path_graph(9), star_graph(7)]
+    cliques = [complete_graph(k) for k in range(1, 9)]
+    unions = [
+        _union(complete_graph(3), path_graph(4)),
+        _union(Graph(2), star_graph(3), complete_graph(4)),
+        _union(random_chordal(12, 24, rng), _random_tree(8, rng), random_chordal(9, 14, rng)),
+        _union(*(random_chordal(6, 9, rng) for _ in range(4))),
+    ]
+    return [Graph(0), *trees, *cliques, *unions]
+
+
+def test_mcs_m_matches_reference_on_trees_cliques_and_unions():
+    assert all(_assert_mcs_m_matches_reference(g) for g in _chordal_corpus())
+
+
+def test_mcs_m_is_the_reference_mcs_order_on_large_chordal_graphs():
+    # A chordal graph is its own minimal triangulation, so the reference
+    # MCS-M, seconds per graph here, would pick the MCS order and fill nothing
+    for n in (320, 640, 1280):
+        g = random_chordal(n, 2 * n, random.Random(n))
+        assert _mcs_m(g) == (reference_mcs_order(g), ())
+        assert is_chordal(g) == reference_is_chordal(g)
+        t = clique_tree(g)
+        assert (t.bags, t.edges) == reference_clique_tree(g)
+
+
+def _first_failed_pick(g: Graph) -> int | None:
+    """The first step of the reference MCS order whose vertex has earlier
+    neighbours that are not a clique."""
+    numbered = 0
+    for i, v in enumerate(reference_mcs_order(g)):
+        if not g.is_clique(g.adj[v] & numbered):
+            return i
+        numbered |= 1 << v
+    return None
+
+
+def test_mcs_m_matches_reference_when_only_the_last_pick_fails():
+    cycles = [cycle_graph(k) for k in range(4, 13)]
+    # K_t minus the edge 0(t-1) with x = t hung on t - 1, plus the edge 0x:
+    # MCS picks 0..t-1 and then x, whose earlier neighbours 0 and t-1 close
+    # the 4-cycles x-0-j-(t-1)
+    closed = []
+    for t in range(4, 10):
+        edges = [(u, v) for u, v in combinations(range(t), 2) if (u, v) != (0, t - 1)]
+        closed.append(Graph(t + 1, edges + [(t - 1, t), (0, t)]))
+    closed.append(random_chordal(13, 26, random.Random(13)).with_edges([(2, 11)]))
+    for g in cycles + closed:
+        assert _first_failed_pick(g) == g.n - 1, g.adj
+        assert not _assert_mcs_m_matches_reference(g)
+    for g in closed:
+        assert minimal_triangulation(g) and has_induced_cycle(g, 4, 4)
+        assert not has_induced_cycle(g, 5), g.adj
+
+
+def test_mcs_m_grows_no_reach_set_on_chordal_graphs(monkeypatch):
+    calls = []
+    neighborhood = Graph.neighborhood
+
+    def spy(self, sub, closed=False):
+        calls.append(sub)
+        return neighborhood(self, sub, closed)
+
+    monkeypatch.setattr(Graph, "neighborhood", spy)
+    chordal = _chordal_corpus() + [random_chordal(n, 2 * n, random.Random(n)) for n in (70, 320)]
+    for g in chordal:
+        assert not _mcs_m(g)[1]
+    assert calls == []
+    assert _mcs_m(cycle_graph(5))[1] and calls
 
 
 # -- clique trees -------------------------------------------------------------
