@@ -320,13 +320,13 @@ def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
     """
     if not g.n:
         return [], 0, 0
-    pieces = clique_atoms(g)
+    pieces, chordal = clique_atoms(g)
     seps = len({sep for _, sep in pieces[:-1]})
     if cfg.cap_seps and seps > cfg.cap_seps:
         raise CapacityExceededError("minimal separators", cfg.cap_seps, seps)
     parts = []
     for atom, _ in pieces:
-        if g.is_clique(atom):
+        if chordal or g.is_clique(atom):
             parts.append(None)
             continue
         h, hmap = g.induced(atom)

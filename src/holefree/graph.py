@@ -30,9 +30,14 @@ from .errors import GraphFormatError
 MAX_VERTICES = 1 << 20
 
 # The largest weight exponent |e| a weight string may carry.  Fraction would
-# build 10^|e| first, which takes seconds at e = 10^7, and a weight past the
-# interpreter's default int-to-string limit of 4300 digits cannot be printed.
+# build 10^|e| first, which takes seconds at e = 10^7; the bound is the
+# interpreter's default int-to-string limit of 4300 digits.
 MAX_EXPONENT = 4300
+
+# Digits per chunk when an int is printed: below that limit, so that sums
+# of weights and scaled decimals longer than it still print exactly.
+_DIGITS = 4000
+_BASE = 10**_DIGITS
 
 
 class Graph:
@@ -264,11 +269,24 @@ def parse_weight(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length, converted :data:`_DIGITS` digits
+    at a time, each chunk under the int-to-string limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _BASE:
+        n, low = divmod(n, _BASE)
+        chunks.append(str(low).zfill(_DIGITS))
+    return str(n) + "".join(reversed(chunks))
+
+
 def format_weight(w: Fraction) -> str:
     """Exact decimal form when the denominator divides a power of ten,
-    else p/q form; round-trips through :func:`parse_weight`."""
+    else p/q form, at any length; round-trips through :func:`parse_weight`
+    up to the 4300 digits a number there may have."""
     if w.denominator == 1:
-        return str(w.numerator)
+        return _decimal(w.numerator)
     den = w.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -278,10 +296,10 @@ def format_weight(w: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{w.numerator}/{w.denominator}"
+        return f"{_decimal(w.numerator)}/{_decimal(w.denominator)}"
     shift = max(twos, fives)
     scaled = w.numerator * 10**shift // w.denominator
-    digits = str(scaled).rjust(shift + 1, "0")
+    digits = _decimal(scaled).rjust(shift + 1, "0")
     return digits[:-shift] + "." + digits[-shift:]
 
 

@@ -352,10 +352,11 @@ def minimal_triangulation(g: Graph) -> FillIn:
     return _mcs_m(g)[1]
 
 
-def clique_atoms(g: Graph) -> list[tuple[int, int]]:
+def clique_atoms(g: Graph) -> tuple[list[tuple[int, int]], bool]:
     """The clique minimal separator decomposition of g, as (atom A, parent
     separator S) pairs in split order: each S lies inside an atom listed
-    later, and the root comes last with S = ∅.
+    later, and the root comes last with S = ∅; and whether g is chordal,
+    when every atom is a clique.
 
     One MCS-M pass (Berry, Pogorelcnik & Simonet, "An introduction to clique
     minimal separator decomposition", Algorithms 2010, MCS-M+ and Atoms).
@@ -367,7 +368,9 @@ def clique_atoms(g: Graph) -> list[tuple[int, int]]:
     reverse pick order, each generator x whose S is a clique of g splits
     off A = C | S, for C the component of x in what is left minus S; C
     leaves what is left.  What remains at the end is the root.  A
-    disconnected g splits along S = ∅.
+    disconnected g splits along S = ∅.  With no fill g is chordal, every
+    minimal separator of g is a clique, and the atoms are its maximal
+    cliques.
     """
     order, fill = _mcs_m(g)
     rows = list(g.adj)
@@ -391,7 +394,7 @@ def clique_atoms(g: Graph) -> list[tuple[int, int]]:
             out.append((comp | sep, sep))
             rest ^= comp
     out.append((rest, 0))
-    return out
+    return out, not fill
 
 
 def _maximal_cliques_chordal(h: Graph, order: list[int]) -> list[int]:

@@ -13,8 +13,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from holefree.bits import iter_bits, mask_of, to_tuple
-from holefree.errors import OracleLimitError, PreconditionError, WitnessNotFoundError
+from holefree.bits import canonical_key, iter_bits, mask_of, to_tuple
+from holefree.errors import (
+    CapacityExceededError,
+    OracleLimitError,
+    PreconditionError,
+    WitnessNotFoundError,
+)
 from holefree.graph import Graph
 from holefree.separators import Separator, analyze_separator
 
@@ -387,6 +392,42 @@ def reference_grow_lhf(
 
 
 # -- reference enumerators ----------------------------------------------------
+
+def reference_minimal_separators(g: Graph, cap: int = 0, counted: int = 0) -> list[Separator]:
+    """The Berry-Bordat-Cogis closure of
+    :func:`holefree.separators.enumerate_minimal_separators`, as a
+    generator of regions flooded with Graph.flood, and each record taken
+    from a flood of all of g minus its set.
+
+    Same seeds, stack order and skipped repeats, so the same records or
+    the same cap trip at the same count.
+    """
+    found: dict[int, int] = {}
+    stack: list[int] = []
+    flooded: set[int] = set()
+
+    def regions():
+        for v in range(g.n):
+            yield g.full_mask & ~(g.adj[v] | (1 << v))
+        while stack:
+            s = stack.pop()
+            for x in iter_bits(s):
+                yield g.full_mask & ~(s | g.adj[x] | (1 << x))
+
+    for region in regions():
+        if region in flooded:
+            continue
+        flooded.add(region)
+        for comp, nb in g.flood(region):
+            if nb not in found:
+                found[nb] = comp
+                if cap and counted + len(found) > cap:
+                    raise CapacityExceededError("minimal separators", cap, counted + len(found))
+                stack.append(nb)
+    out = [analyze_separator(g, nb) for nb in sorted(found, key=canonical_key)]
+    assert all(sep.is_minimal for sep in out)
+    return out
+
 
 def reference_pmcs(g: Graph) -> list[int]:
     """PMC masks of g by the all-pairs rule, canonically sorted.

@@ -57,6 +57,25 @@ def test_solve_malformed_exits_2(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,weight,witness",
+    [
+        # a weight at the exponent limit, and a sum past the interpreter's
+        # 4300-digit int-to-string limit, print exactly
+        ("p mwis 1 0\nw 1 1e4300\n", "1" + "0" * 4300, [1]),
+        ("p mwis 2 0\nw 1 9e4299\nw 2 9e4299\n", "18" + "0" * 4299, [1, 2]),
+    ],
+)
+def test_solve_prints_weights_past_the_int_digit_limit(tmp_path, capsys, text, weight, witness):
+    f = tmp_path / "big.gr"
+    f.write_text(text)
+    assert main(["solve", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == [f"weight {weight}", "witness: " + " ".join(map(str, witness))]
+    assert main(["solve", str(f), "--json"]) == 0
+    assert _json_out(capsys)["result"] == {"weight": weight, "vertices": witness, "strategy": "bt"}
+
+
 def test_solve_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent/nowhere.gr"]) == 2
 
@@ -277,7 +296,7 @@ def _multi_atom_graphs():
         out.append(grow_lhf(random_chordal(120, 240, rng), 120, rng, forbid_prism=3))
     while len(out) < 42:
         g = er_graph(rng.randint(8, 15), rng.uniform(0.15, 0.5), rng)
-        if len(clique_atoms(g)) > 1:
+        if len(clique_atoms(g)[0]) > 1:
             out.append(g)
     # ER n = 15 seed 96 is one atom with 2 PMCs that no 3-set dominates;
     # hang a path on it, or add a 4-cycle beside it
@@ -302,7 +321,7 @@ def test_analyze_dominates_each_pmc_on_its_atom_as_on_g(tmp_path, capsys):
     checked here on data only."""
     seen = Counter()
     for i, g in enumerate(_multi_atom_graphs()):
-        assert len(clique_atoms(g)) > 1
+        assert len(clique_atoms(g)[0]) > 1
         f = tmp_path / f"g{i}.gr"
         f.write_text(emit_graph(g))
         assert main(["analyze", str(f), "--json"]) == 0

@@ -13,6 +13,7 @@ from holefree.engine import (
     _NONE,
     SolveConfig,
     SolveResult,
+    atom_families,
     brute_force_mwis,
     decode,
     index_caps,
@@ -279,7 +280,7 @@ def test_elimination_matches_brute_force_on_multi_atom_graphs():
     checked = swept = 0
     while checked < 100:
         g = er_graph(rng.randint(4, 13), rng.uniform(0.15, 0.6), rng)
-        pieces = clique_atoms(g)
+        pieces = clique_atoms(g)[0]
         if not g.is_connected() or len(pieces) < 2:
             continue
         for style in WEIGHT_STYLES:
@@ -311,6 +312,27 @@ def test_elimination_runs_the_dp_only_on_atoms_that_are_not_cliques(monkeypatch)
     assert (res.weight, res.vertices) == exhaustive_mwis(g)
     assert sorted(roots) == [(4, 1), (4, 1), (4, 8)]
     assert (res.stats.minseps, res.stats.pmcs) == (9, 13)
+
+
+def test_atom_walk_tests_no_atom_for_a_clique_on_chordal_graphs(monkeypatch):
+    # with no fill every atom is a clique, so the walk tests none; on a
+    # graph with fill it tests each atom once
+    calls = 0
+    real = Graph.is_clique
+
+    def spy(self, mask):
+        nonlocal calls
+        calls += 1
+        return real(self, mask)
+
+    monkeypatch.setattr(Graph, "is_clique", spy)
+    rng = random.Random(28)
+    for n in (10, 40, 70):
+        g = random_chordal(n, 2 * n, rng)
+        atoms = atom_families(g, SolveConfig())[0]
+        assert calls == 0 and all(part is None for _, _, part in atoms)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    assert len(atom_families(g, SolveConfig())[0]) == 2 and calls >= 2
 
 
 @pytest.mark.parametrize(

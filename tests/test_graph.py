@@ -249,6 +249,18 @@ def test_format_weight_exact():
     assert parse_graph("p mwis 1 0\nw 1 1/3\n").weights == (Fraction(1, 3),)
 
 
+def test_format_weight_past_the_int_digit_limit():
+    # ints, decimals and p/q forms of more than 4300 digits, and the chunk
+    # boundaries of the conversion
+    big = 9 * 10**4299
+    assert format_weight(Fraction(2 * big)) == "18" + "0" * 4299
+    assert format_weight(big + Fraction(1, 10**4300)) == "9" + "0" * 4299 + "." + "0" * 4299 + "1"
+    assert format_weight(big + Fraction(1, 3)) == "27" + "0" * 4298 + "1/3"
+    assert format_weight(-Fraction(10**8000)) == "-1" + "0" * 8000
+    assert format_weight(Fraction(10**8000 - 1)) == "9" * 8000
+    assert format_weight(Fraction(10**4000 + 7)) == "1" + "0" * 3999 + "7"
+
+
 def test_weights_exact_sums():
     g = Graph(3, [], weights=["0.1", "0.2", "0.3"])
     assert g.total_weight() == Fraction(6, 10)

@@ -184,7 +184,7 @@ def _multi_atom_corpus():
     out = []
     while len(out) < 200:
         g = er_graph(rng.randint(2, 13), rng.uniform(0.1, 0.6), rng)
-        if len(clique_atoms(g)) > 1:
+        if len(clique_atoms(g)[0]) > 1:
             out.append(g)
     return out
 
@@ -198,7 +198,7 @@ def test_atom_family_matches_bruteforce_on_multi_atom_graphs():
         assert enumerate_pmcs(g, seps) == brute, g.adj
         assert atom_pmc_sets(g) == [p.set for p in brute], g.adj
         disconnected += not g.is_connected()  # the empty set is a clique separator
-        swept += any(not g.is_clique(a) for a, _ in clique_atoms(g))
+        swept += any(not g.is_clique(a) for a, _ in clique_atoms(g)[0])
     assert disconnected > 50 and swept > 50
 
 
@@ -224,16 +224,19 @@ def test_atom_family_matches_whole_graph_sweep():
         seps = enumerate_minimal_separators(g)
         whole = sorted(enumerate_pmcs(g, seps), key=lambda p: to_tuple(p.set))
         assert [is_pmc(g, s) for s in atom_pmc_sets(g)] == whole, g.adj
-        swept += sum(not g.is_clique(a) for a, _ in clique_atoms(g))
+        swept += sum(not g.is_clique(a) for a, _ in clique_atoms(g)[0])
     assert swept >= 10
 
 
 def _assert_atom_laws(g):
     seps = enumerate_minimal_separators(g)
-    pieces = clique_atoms(g)
+    pieces, chordal = clique_atoms(g)
     parts = [a for a, _ in pieces]
     assert sorted(parts) == sorted(reference_atoms(g, seps)), g.adj
     assert len(set(parts)) == len(parts)
+    # the flag is the chordality verdict, and then every atom is a clique
+    assert chordal == is_chordal(g).chordal, g.adj
+    assert not chordal or all(g.is_clique(a) for a in parts), g.adj
     # split order: each parent separator is a clique inside a later atom,
     # and the root comes last with the empty one
     assert pieces[-1][1] == 0

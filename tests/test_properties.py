@@ -71,7 +71,7 @@ def test_no_prefix_or_atom_has_more_minimal_separators_than_g(g):
     assert sizes == sorted(sizes)
     minseps = enumerate_minimal_separators(g)
     known = {s.set for s in minseps}
-    for atom, _ in clique_atoms(g):
+    for atom, _ in clique_atoms(g)[0]:
         if not g.is_clique(atom):
             h, vmap = g.induced(atom)
             for s in enumerate_minimal_separators(h):
@@ -86,7 +86,7 @@ def test_clique_atoms_match_the_reference_split_and_count_g(g):
     # the minimal separators of the other atoms are Δ(g), and the clique
     # atoms and the PMCs of the other atoms are Π(g)
     minseps = enumerate_minimal_separators(g)
-    assert sorted(a for a, _ in clique_atoms(g)) == sorted(reference_atoms(g, minseps))
+    assert sorted(a for a, _ in clique_atoms(g)[0]) == sorted(reference_atoms(g, minseps))
     _, seps, pmcs = atom_families(g, SolveConfig())
     family = enumerate_pmcs(g, minseps)
     assert (seps, pmcs) == (len(minseps), len(family))

@@ -23,6 +23,7 @@ from oracles import (
     component_cover_witness,
     excess_full,
     p4,
+    reference_minimal_separators,
 )
 
 
@@ -153,30 +154,25 @@ def test_records_are_built_only_after_the_closure(monkeypatch):
 
 
 def _spy_floods(monkeypatch) -> tuple[list[int], list[int]]:
-    """Record every region Graph.flood is called on, and apart from that
-    the closures' own ones: those outside the record builder."""
+    """Record every region flooded, and apart from that the closure's own
+    ones: those of its kernel, ``separators._flood_region``.  The others
+    are Graph.flood calls, by the record builder and the prefix chain."""
     every: list[int] = []
     closure: list[int] = []
-    in_record = False
     real_flood = Graph.flood
-    real_record = separators._separator_of_component
+    real_kernel = separators._flood_region
 
     def flood(self, sub):
         every.append(sub)
-        if not in_record:
-            closure.append(sub)
         return real_flood(self, sub)
 
-    def record(g, comp, sep):
-        nonlocal in_record
-        in_record = True
-        try:
-            return real_record(g, comp, sep)
-        finally:
-            in_record = False
+    def kernel(adj, tables, region, *rest):
+        every.append(region)
+        closure.append(region)
+        return real_kernel(adj, tables, region, *rest)
 
     monkeypatch.setattr(Graph, "flood", flood)
-    monkeypatch.setattr(separators, "_separator_of_component", record)
+    monkeypatch.setattr(separators, "_flood_region", kernel)
     return every, closure
 
 
@@ -218,6 +214,54 @@ def test_cap_trip_cost(monkeypatch):
     closure.clear()
     assert len(enumerate_minimal_separators(prism_graph(9))) == 510
     assert len(every) == 1531 and len(closure) == 1021
+
+
+def _closure_outcome(closure, g, cap, counted=0):
+    """The record list of one closure run, or its cap trip message."""
+    try:
+        return closure(g, cap=cap, counted=counted)
+    except CapacityExceededError as err:
+        return str(err)
+
+
+def test_closure_matches_the_reference_on_prisms():
+    # caps 0, |Δ| and |Δ| - 1 on the 2- to 12-prisms (|Δ| = 2^k - 2), and
+    # the trip of the 13- to 16-prisms at the default cap
+    for k in range(2, 17):
+        g = prism_graph(k)
+        d = 2**k - 2
+        for cap in (0, d, d - 1) if k <= 12 else (5000,):
+            got = _closure_outcome(enumerate_minimal_separators, g, cap)
+            assert got == _closure_outcome(reference_minimal_separators, g, cap), (k, cap)
+            assert (len(got) == d) if cap in (0, d) else got.endswith(f"({cap + 1} found so far)")
+
+
+def test_closure_matches_the_reference_on_random_graphs():
+    # with separators counted elsewhere: no cap, caps |Δ| and |Δ| - 1,
+    # which trip before the last separator, and the same shifted by
+    # ``counted``, which run complete or trip at the last one
+    rng = random.Random(2800)
+    trips = 0
+    for _ in range(300):
+        g = er_graph(rng.randint(1, 16), rng.uniform(0.1, 0.6), rng)
+        d = len(reference_minimal_separators(g))
+        counted = rng.randint(1, 4)
+        for cap in {0, d, max(d - 1, 0), counted + d, counted + d - 1}:
+            got = _closure_outcome(enumerate_minimal_separators, g, cap, counted)
+            assert got == _closure_outcome(reference_minimal_separators, g, cap, counted)
+            trips += isinstance(got, str)
+    assert trips > 300
+
+
+def test_closure_matches_the_reference_on_the_fallback_er_graphs():
+    # the ER graphs of the benchmark's fallback workload (slots 20-22,
+    # n = 50 / 55 / 60, p = 0.08) trip the default cap at the same count
+    for seed in (1, 2):
+        for slot, n in ((20, 50), (21, 55), (22, 60)):
+            g = er_graph(n, 0.08, random.Random(f"fallback:{seed}:{slot}"))
+            got = _closure_outcome(enumerate_minimal_separators, g, 5000)
+            assert got == "minimal separators: cap 5000 exceeded (5001 found so far)"
+            assert got == _closure_outcome(reference_minimal_separators, g, 5000)
 
 
 def test_oracle_limit():
