@@ -256,6 +256,12 @@ def _cap(text: str) -> int:
     return value
 
 
+def _add_caps(parser: argparse.ArgumentParser) -> None:
+    """The caps that solve and analyze share, with one pair of defaults."""
+    parser.add_argument("--cap-seps", type=_cap, default=5000, help="separator cap, 0 = unlimited")
+    parser.add_argument("--cap-pmcs", type=_cap, default=50000, help="PMC cap, 0 = unlimited")
+
+
 def _count(text: str) -> int:
     """A count option (a prism size bound, a retry budget): 1 or more."""
     value = int(text)
@@ -278,12 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve MWIS on a graph file")
     p_solve.add_argument("graph")
     p_solve.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    p_solve.add_argument(
-        "--cap-seps", type=_cap, default=5000, help="separator cap, 0 = unlimited"
-    )
-    p_solve.add_argument(
-        "--cap-pmcs", type=_cap, default=50000, help="PMC cap, 0 = unlimited"
-    )
+    _add_caps(p_solve)
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -296,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="separator/PMC structure report")
     p_analyze.add_argument("graph")
     p_analyze.add_argument("--max-k", type=_count, default=4)
-    p_analyze.add_argument("--cap-seps", type=_cap, default=0)
-    p_analyze.add_argument("--cap-pmcs", type=_cap, default=0)
+    _add_caps(p_analyze)
     p_analyze.add_argument("--json", action="store_true")
     p_analyze.set_defaults(func=cmd_analyze)
 

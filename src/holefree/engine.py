@@ -29,14 +29,15 @@ perturbed weights of :func:`perturbed_weights`, whose one maximum spells
 both the optimum and the canonical witness, read off once by
 :func:`decode`.
 
-Every returned result re-checks its own witness: the set must be
-independent and its weight must equal the reported optimum.
+Every exact solver is an int core run by :func:`solve_exact`, which checks
+the witness once per public call: independent, and of the optimum weight.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,13 +70,6 @@ class SolveStats:
     table_entries: int = 0
     branches: int = 0
     time_ms: float = 0.0
-
-    def merge(self, other: "SolveStats") -> None:
-        self.minseps += other.minseps
-        self.pmcs += other.pmcs
-        self.blocks += other.blocks
-        self.table_entries += other.table_entries
-        self.branches += other.branches
 
 
 @dataclass
@@ -130,6 +124,18 @@ def decode(n: int, scale: int, value: int) -> tuple[Fraction, int]:
     low n bits, where bit n-1-v stands for vertex v."""
     low = value & ((1 << n) - 1)
     return Fraction(value >> n, scale), int(f"{low:0{n}b}"[::-1], 2)
+
+
+def solve_exact(g: Graph, strategy: str, best: Callable[..., int], *args) -> SolveResult:
+    """Time ``best(g, w, stats, *args)``, the best sum of the perturbed
+    weights w over the independent sets of g, then decode and check it."""
+    t0 = time.perf_counter()
+    stats = SolveStats()
+    scale, w = perturbed_weights(g)
+    weight, mask = decode(g.n, scale, best(g, w, stats, *args))
+    check_independent_witness(g, weight, mask)
+    stats.time_ms = (time.perf_counter() - t0) * 1000.0
+    return SolveResult(weight, to_tuple(mask), strategy, stats)
 
 
 def index_caps(pmcs: list[Separator], blocks: list[tuple[int, int]]) -> list[list[int]]:
@@ -193,7 +199,7 @@ def solve_bt(
     orders the tables, and the top block's comes last.  A vertex is taken
     only when its weight is positive.  With sums of
     :func:`perturbed_weights`, or of weights that the atom elimination of
-    :func:`solve_mwis` adjusts from them, each entry is the one maximum of
+    :func:`best_mwis` adjusts from them, each entry is the one maximum of
     its choices, whatever the order among blocks of one size.
     ``stats.table_entries`` counts the entries of the kept blocks' tables.
     """
@@ -201,7 +207,6 @@ def solve_bt(
         raise PreconditionError("solve_bt needs a connected graph")
     if not g.is_clique(root) or any(p.set == root for p in pmcs):
         raise PreconditionError("solve_bt needs a root clique that is not a PMC")
-    t0 = time.perf_counter()
 
     blocks = sorted((b for b in blocks if not b[0] & root), key=lambda b: b[0].bit_count())
     stats = SolveStats(
@@ -260,14 +265,18 @@ def solve_bt(
         table.update(zip(trace, best))
         tables.append(table)
 
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
     return RootTable(tables[-1], stats)
 
 
 def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
-    """Exact MWIS: per connected component, eliminate the atoms of its clique
-    minimal separator decomposition bottom-up, on the perturbed weights of
-    :func:`perturbed_weights`, and decode the sum once at the end.
+    """Exact MWIS by :func:`best_mwis`, under :func:`solve_exact`."""
+    return solve_exact(g, "bt", best_mwis, config or SolveConfig())
+
+
+def best_mwis(g: Graph, w: list[int], stats: SolveStats, cfg: SolveConfig) -> int:
+    """The best sum of int weights ``w`` over the independent sets of g: per
+    connected component, eliminate the atoms of its clique minimal
+    separator decomposition bottom-up.
 
     The atoms come in split order, so the parent separator S of an atom A
     lies in an atom still to come.  A - S hands up T: its best with no
@@ -285,10 +294,6 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     separators and PMCs of the whole component, come from
     :func:`atom_families`.
     """
-    cfg = config or SolveConfig()
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    scale, w = perturbed_weights(g)
     value = 0
     for comp in g.components():
         if comp.bit_count() == 1:
@@ -296,10 +301,7 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
             continue
         sub, vmap = g.induced(comp)
         value += _eliminate(sub, [w[v] for v in vmap], cfg, stats)
-    weight, mask = decode(g.n, scale, value)
-    check_independent_witness(g, weight, mask)
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(weight, to_tuple(mask), "bt", stats)
+    return value
 
 
 def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
@@ -349,7 +351,7 @@ def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
 
 def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
     """The best sum of ``w`` over the independent sets of a connected g,
-    atom by atom (see :func:`solve_mwis`); ``w`` is adjusted in place."""
+    atom by atom (see :func:`best_mwis`); ``w`` is adjusted in place."""
     atoms, seps, pmcs = atom_families(g, cfg)
     root = atoms[-1][0]
     v0 = (root & -root).bit_length() - 1
@@ -376,16 +378,20 @@ def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> i
 
 
 def brute_force_mwis(g: Graph, limit: int = 20) -> SolveResult:
-    """Oracle: memoized include/exclude search on the minimum-index vertex,
-    on the perturbed weights of :func:`perturbed_weights`.
+    """Oracle: :func:`best_brute` under :func:`solve_exact`, for n up to
+    ``limit``.
 
     Returns the canonical witness: the lexicographically smallest maximum
     weight independent set among those avoiding zero-weight vertices.
     """
     if g.n > limit:
         raise OracleLimitError(f"n={g.n} above oracle limit {limit}")
-    t0 = time.perf_counter()
-    scale, w = perturbed_weights(g)
+    return solve_exact(g, "brute", best_brute)
+
+
+def best_brute(g: Graph, w: list[int], stats: SolveStats) -> int:
+    """The best sum of int weights ``w`` over the independent sets of g, by
+    memoized include/exclude search on the minimum-index vertex."""
     adj = g.adj
     memo = {0: 0}
 
@@ -401,7 +407,4 @@ def brute_force_mwis(g: Graph, limit: int = 20) -> SolveResult:
         memo[mask] = res
         return res
 
-    weight, witness = decode(g.n, scale, best(g.full_mask))
-    check_independent_witness(g, weight, witness)
-    stats = SolveStats(time_ms=(time.perf_counter() - t0) * 1000.0)
-    return SolveResult(weight, to_tuple(witness), "brute", stats)
+    return best(g.full_mask)

@@ -29,15 +29,22 @@ from .errors import GraphFormatError
 # second at 2^16 vertices, minutes here, far past any graph a command finishes.
 MAX_VERTICES = 1 << 20
 
-# The largest weight exponent |e| a weight string may carry.  Fraction would
-# build 10^|e| first, which takes seconds at e = 10^7; the bound is the
+# The largest weight exponent |e| a weight string may carry.  Reading it
+# builds 10^|e| first, which takes seconds at e = 10^7; the bound is the
 # interpreter's default int-to-string limit of 4300 digits.
 MAX_EXPONENT = 4300
 
-# Digits per chunk when an int is printed: below that limit, so that sums
-# of weights and scaled decimals longer than it still print exactly.
+# Digits per chunk when an int is printed or read: below that limit, so that
+# sums of weights and scaled decimals longer than it still print exactly.
 _DIGITS = 4000
 _BASE = 10**_DIGITS
+
+# A weight's numerator and denominator may reach _MAX_WEIGHT, the range of a
+# MAX_EXPONENT-digit mantissa scaled by 10^±MAX_EXPONENT, and its digit runs
+# _MAX_RUN digits: the longest run format_weight prints for such a weight is
+# the a digits of 1/2^a, and 2^a <= _MAX_WEIGHT gives a < 6.65 * MAX_EXPONENT.
+_MAX_WEIGHT = 10 ** (2 * MAX_EXPONENT)
+_MAX_RUN = 7 * MAX_EXPONENT
 
 
 class Graph:
@@ -261,19 +268,52 @@ class Graph:
 def parse_weight(text: str) -> Fraction:
     """Parse a decimal or p/q weight string into an exact Fraction.
 
-    An exponent beyond ±:data:`MAX_EXPONENT` raises OverflowError before
-    any arithmetic."""
-    _, e, exponent = text.upper().partition("E")
+    The grammar is Fraction's with plain digit runs (no underscores), each
+    run read :data:`_DIGITS` digits at a time, so runs past the
+    interpreter's int-digit limit read too.  An exponent beyond
+    ±:data:`MAX_EXPONENT` raises OverflowError before any arithmetic, as
+    does a run over :data:`_MAX_RUN` digits; so does a numerator or
+    denominator over :data:`_MAX_WEIGHT`."""
+    body = text.strip()
+    sign = body[:1]
+    if sign in ("+", "-"):
+        body = body[1:]
+    mantissa, e, exponent = body.upper().partition("E")
     if e and abs(int(exponent)) > MAX_EXPONENT:
         raise OverflowError(f"weight exponent {exponent} beyond ±{MAX_EXPONENT}")
-    return Fraction(text)
+    num, slash, den = mantissa.partition("/")
+    whole, dot, frac = num.partition(".")
+    exp = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if not (whole + frac + den + exp).isdecimal() or (slash and (dot or e)):
+        raise ValueError(f"invalid weight {text!r}")  # an empty run fails in _read
+    if len(body) > _MAX_RUN and max(map(len, (whole, frac, den))) > _MAX_RUN:
+        raise OverflowError(f"weight digit run beyond {_MAX_RUN} digits")
+    if slash:
+        w = Fraction(_read(whole), _read(den))
+    else:
+        shift = int(exponent or 0) - len(frac)
+        m = _read(whole + frac)
+        w = Fraction(m * 10**shift) if shift >= 0 else Fraction(m, 10**-shift)
+    if w.numerator > _MAX_WEIGHT or w.denominator > _MAX_WEIGHT:
+        raise OverflowError(f"weight beyond 10^{2 * MAX_EXPONENT}")
+    return -w if sign == "-" else w
+
+
+def _read(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length, converted
+    :data:`_DIGITS` digits at a time: the inverse of :func:`_decimal`."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    n = 0
+    for i in range(0, len(digits), _DIGITS):
+        chunk = digits[i : i + _DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
 
 
 def _decimal(n: int) -> str:
-    """str(n) for an int of any length, converted :data:`_DIGITS` digits
-    at a time, each chunk under the int-to-string limit."""
-    if n < 0:
-        return "-" + _decimal(-n)
+    """str(n) for an int n >= 0 of any length, converted :data:`_DIGITS`
+    digits at a time, each chunk under the int-to-string limit."""
     chunks = []
     while n >= _BASE:
         n, low = divmod(n, _BASE)
@@ -284,7 +324,9 @@ def _decimal(n: int) -> str:
 def format_weight(w: Fraction) -> str:
     """Exact decimal form when the denominator divides a power of ten,
     else p/q form, at any length; round-trips through :func:`parse_weight`
-    up to the 4300 digits a number there may have."""
+    for every weight that it reads."""
+    if w.numerator < 0:
+        return "-" + format_weight(-w)
     if w.denominator == 1:
         return _decimal(w.numerator)
     den = w.denominator

@@ -3,19 +3,18 @@
 The polynomial pipeline (separator enumeration + block DP), the prism
 branching driver, the degree-threshold driver with tree-decomposition DP,
 balanced separators from dominated potential maximal cliques, and maximum
-weight clique via complementation.  Every exact strategy maximizes the
-perturbed int weight of :func:`~holefree.engine.perturbed_weights`, whose
-one maximum decodes to the canonical witness.
+weight clique via complementation.  Every exact strategy is an int core
+run by :func:`~holefree.engine.solve_exact`, whose one maximum of the
+perturbed weights decodes to the canonical witness.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import iter_bits, mask_of, to_tuple
+from .bits import iter_bits, mask_of
 from .errors import (
     CapacityExceededError,
     NoDominationError,
@@ -27,11 +26,12 @@ from .engine import (
     SolveConfig,
     SolveResult,
     SolveStats,
+    best_brute,
+    best_mwis,
     brute_force_mwis,
-    check_independent_witness,
-    decode,
+    check_independent_witness,  # noqa: F401  (wrapped by perfbench/tracer.py)
     int_weights,
-    perturbed_weights,
+    solve_exact,
     solve_mwis,
 )
 from .graph import Graph
@@ -145,20 +145,24 @@ def build_tree_decomposition(g: Graph) -> TreeDecomposition:
 
 
 def solve_treewidth_dp(g: Graph, td: TreeDecomposition) -> SolveResult:
-    """Standard MWIS dynamic program over a tree decomposition rooted at node 0.
+    """Exact MWIS by :func:`best_treewidth` on a validated decomposition
+    ``td``, under :func:`~holefree.engine.solve_exact`."""
+    td.validate(g)
+    return solve_exact(g, "treewidth", best_treewidth, td)
+
+
+def best_treewidth(g: Graph, w: list[int], stats: SolveStats, td: TreeDecomposition) -> int:
+    """The best sum of int weights ``w`` over the independent sets of g, by
+    the standard dynamic program over ``td`` rooted at node 0.
 
     Tables map the independent, zero-weight-free subsets of each bag to
     their best value; child tables are merged through their projection
-    onto the shared vertices.  As in ``solve_bt``, values are sums of
-    perturbed weights, so the best one decodes to the canonical witness.
+    onto the shared vertices.
     """
-    td.validate(g)
-    t0 = time.perf_counter()
     for b in td.bags:
         if b.bit_count() > BAG_LIMIT:
             raise WidthLimitError(f"bag of size {b.bit_count()} above limit {BAG_LIMIT}")
 
-    scale, w = perturbed_weights(g)
     usable = mask_of(v for v in range(g.n) if w[v])
     walk = td.walk()
     children: list[list[int]] = [[] for _ in td.bags]
@@ -190,12 +194,8 @@ def solve_treewidth_dp(g: Graph, td: TreeDecomposition) -> SolveResult:
             table[sub] = value
         entries += len(table)
 
-    weight, witness = decode(g.n, scale, max(tables[0].values()))
-    check_independent_witness(g, weight, witness)
-    stats = SolveStats(
-        table_entries=entries, time_ms=(time.perf_counter() - t0) * 1000.0
-    )
-    return SolveResult(weight, to_tuple(witness), "treewidth", stats)
+    stats.table_entries += entries
+    return max(tables[0].values())
 
 
 def solve_kprism_alg(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -213,44 +213,34 @@ def solve_subexp1(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     An independent set meets the prism's two cliques in at most two
     vertices, so the admissible traces are the empty set, singletons, and
     nonadjacent cross pairs; each branch deletes the prism plus the trace's
-    neighborhood and recurses.  Prism-free residues go to the pipeline;
-    tiny residues go to the oracle.  The recursion runs on g weighted by
-    :func:`~holefree.engine.perturbed_weights`, which each induced subgraph
-    keeps in g's vertex order, so every leaf returns the one maximum of the
-    perturbed sum, and the best branch decodes to the canonical witness.
+    neighborhood and recurses.  Prism-free residues go to the int core of
+    the pipeline, tiny residues to the oracle's.  The recursion carries
+    (graph, int weights): the perturbed weights of g, read through each
+    induced subgraph's vertex map, so the best branch is the one maximum
+    and :func:`~holefree.engine.solve_exact` decodes the canonical witness.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats()
+    cfg = config or SolveConfig()
 
-    def rec(h: Graph) -> int:
+    def rec(h: Graph, w: list[int], stats: SolveStats) -> int:
         if h.n < BRUTE_FLOOR:
-            return int(brute_force_mwis(h, limit=BRUTE_FLOOR).weight)
-        k = math.isqrt(h.n)
-        prism = find_k_prism(h, k)
+            return best_brute(h, w, stats)
+        prism = find_k_prism(h, math.isqrt(h.n))
         if prism is None:
-            res = solve_kprism_alg(h, config)
-            stats.merge(res.stats)
-            return int(res.weight)
+            return best_mwis(h, w, stats, cfg)
         pv = prism.vertex_mask()
-        members = to_tuple(pv)
-        traces = [0]
-        traces.extend(1 << v for v in members if h.weights[v] > 0)
+        members = [v for v in iter_bits(pv) if w[v] > 0]
+        traces = [0] + [1 << v for v in members]
         for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                if not h.has_edge(a, b) and h.weights[a] > 0 and h.weights[b] > 0:
-                    traces.append(1 << a | 1 << b)
+            traces += [1 << a | 1 << b for b in members[i + 1 :] if not h.has_edge(a, b)]
         best = -1
         for trace in traces:
             stats.branches += 1
-            removed = pv | h.neighborhood(trace, closed=True)
-            best = max(best, rec(h.induced(h.full_mask & ~removed)[0]) + int(h.weight_of(trace)))
+            sub, vmap = h.induced(h.full_mask & ~(pv | h.neighborhood(trace, closed=True)))
+            taken = sum(w[v] for v in iter_bits(trace))
+            best = max(best, rec(sub, [w[v] for v in vmap], stats) + taken)
         return best
 
-    scale, w = perturbed_weights(g)
-    weight, witness = decode(g.n, scale, rec(g.with_weights(w)))
-    check_independent_witness(g, weight, witness)
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(weight, to_tuple(witness), "subexp1", stats)
+    return solve_exact(g, "subexp1", rec)
 
 
 def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -258,41 +248,32 @@ def solve_subexp2(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
     While a vertex of degree at least ceil(sqrt(n ln n)) exists, branch on
     taking it (delete its closed neighborhood) or not (delete it); leaves
-    of the branching are decomposed and solved by the subset DP.  A leaf
-    whose decomposition has a bag too large for the DP goes to the pipeline
-    under ``config``, which may trip a cap.  As in :func:`solve_subexp1`,
-    the recursion runs on the perturbed weights, so the best branch decodes
-    to the canonical witness.
+    of the branching are decomposed and solved by :func:`best_treewidth`.
+    A leaf whose decomposition has a bag too large for the DP goes to the
+    int core of the pipeline under ``config``, which may trip a cap.  The
+    recursion carries (graph, int weights) as in :func:`solve_subexp1`.
     """
-    t0 = time.perf_counter()
-    stats = SolveStats()
+    cfg = config or SolveConfig()
 
-    def rec(h: Graph) -> int:
+    def rec(h: Graph, w: list[int], stats: SolveStats) -> int:
         if h.n <= 2:
-            return int(brute_force_mwis(h).weight)
+            return best_brute(h, w, stats)
         tau = math.ceil(math.sqrt(h.n * math.log(h.n)))
         v = max(range(h.n), key=lambda u: (h.degree(u), -u))
         if h.degree(v) >= tau:
             stats.branches += 1
-            best = rec(h.induced(h.full_mask & ~(1 << v))[0])
-            if h.weights[v] > 0:
-                rest = h.induced(h.full_mask & ~(h.adj[v] | (1 << v)))[0]
-                best = max(best, rec(rest) + int(h.weights[v]))
+            sub, vmap = h.induced(h.full_mask & ~(1 << v))
+            best = rec(sub, [w[u] for u in vmap], stats)
+            if w[v] > 0:
+                sub, vmap = h.induced(h.full_mask & ~(h.adj[v] | 1 << v))
+                best = max(best, rec(sub, [w[u] for u in vmap], stats) + w[v])
             return best
         try:
-            td = build_tree_decomposition(h)
-            res = solve_treewidth_dp(h, td)
-            stats.table_entries += res.stats.table_entries
+            return best_treewidth(h, w, stats, build_tree_decomposition(h))
         except WidthLimitError:
-            res = solve_kprism_alg(h, config)
-            stats.merge(res.stats)
-        return int(res.weight)
+            return best_mwis(h, w, stats, cfg)
 
-    scale, w = perturbed_weights(g)
-    weight, witness = decode(g.n, scale, rec(g.with_weights(w)))
-    check_independent_witness(g, weight, witness)
-    stats.time_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveResult(weight, to_tuple(witness), "subexp2", stats)
+    return solve_exact(g, "subexp2", rec)
 
 
 def solve_mwc_complement(g: Graph, config: SolveConfig | None = None) -> SolveResult:

@@ -76,6 +76,15 @@ def test_solve_prints_weights_past_the_int_digit_limit(tmp_path, capsys, text, w
     assert _json_out(capsys)["result"] == {"weight": weight, "vertices": witness, "strategy": "bt"}
 
 
+def test_a_complement_past_the_int_digit_limit_solves(tmp_path, capsys):
+    # generate writes the 1e4300 weight as 4301 digits; solve reads them back
+    src, out = tmp_path / "big.gr", tmp_path / "complement.gr"
+    src.write_text("p mwis 2 0\nw 1 1e4300\n")
+    assert main(["generate", "complement-of", str(src), "--out", str(out)]) == 0
+    assert main(["solve", str(out), "--json"]) == 0
+    assert _json_out(capsys)["result"] == {"weight": "1" + "0" * 4300, "vertices": [1], "strategy": "bt"}
+
+
 def test_solve_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent/nowhere.gr"]) == 2
 
@@ -341,6 +350,15 @@ def test_analyze_cap_seps_is_exact_on_the_8_prism(tmp_path, capsys):
     assert _json_out(capsys)["analysis"]["minseps"] == 254
     assert main(["analyze", str(f), "--cap-seps", "253", "--json"]) == 3
     assert capsys.readouterr().err == "error: minimal separators: cap 253 exceeded (254 found so far)\n"
+
+
+def test_analyze_ends_under_its_default_caps(tmp_path, capsys):
+    # solve's default caps hold for analyze too: this graph has more than
+    # 5000 minimal separators, and ran past 20 s with no cap
+    f = tmp_path / "er100.gr"
+    f.write_text(emit_graph(er_graph(100, 0.3, random.Random(5))))
+    assert main(["analyze", str(f)]) == 3
+    assert capsys.readouterr().err == "error: minimal separators: cap 5000 exceeded (5001 found so far)\n"
 
 
 def test_solve_cap_pmcs_is_exact_on_the_6_prism(tmp_path, capsys):

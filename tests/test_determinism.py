@@ -45,7 +45,7 @@ def test_subexp2_falls_back_when_width_limited(monkeypatch):
     def refuse(*args, **kwargs):
         raise WidthLimitError("forced")
 
-    monkeypatch.setattr(solvers, "solve_treewidth_dp", refuse)
+    monkeypatch.setattr(solvers, "best_treewidth", refuse)
     res = solvers.solve_subexp2(prism_graph(3))
     assert res.weight == 2
 

@@ -145,6 +145,8 @@ MALFORMED = {
     "p mwis 1 0\nw 1 -2\n": ("negative weight", 2),
     "p mwis 1 0\nw 1 1e10000000\n": ("weight exponent 10000000 beyond ±4300", 2),
     "p mwis 1 0\nw 1 2.5E-4301\n": ("weight exponent -4301 beyond ±4300", 2),
+    "p mwis 1 0\nw 1 1_0\n": ("malformed weight line", 2),
+    "p mwis 1 0\nw 1 1/2e5\n": ("malformed weight line", 2),
     "p mwis 1 0\nw 1 1\nw 1 2\n": ("duplicate weight for vertex 1", 3),
     "e 1 2\n": ("edge line before header", 1),
     "p mwis 2 1\ne 1\n": ("malformed edge line, expected 'e <u> <v>'", 2),
@@ -171,6 +173,21 @@ def test_parse_rejects_malformed(text):
 def test_parse_reads_exponents_up_to_the_limit():
     g = parse_graph("p mwis 3 0\nw 1 1e4300\nw 2 25E-4300\nw 3 0e+17\n")
     assert g.weights == (Fraction(10**4300), Fraction(25, 10**4300), Fraction(0))
+
+
+def test_parse_reads_weights_up_to_the_digit_bounds():
+    # a numerator or denominator up to 10^8600 and a digit run up to 30,100
+    # digits, each past the interpreter's 4300-digit limit
+    g = parse_graph(f"p mwis 2 0\nw 1 1{'0' * 8600}\nw 2 1/{'0' * 30099}1\n")
+    assert g.weights == (Fraction(10**8600), Fraction(1))
+    for weight, message in [
+        ("1" + "0" * 8601, "weight beyond 10^8600"),
+        ("1/1" + "0" * 8601, "weight beyond 10^8600"),
+        ("0." + "0" * 30101, "weight digit run beyond 30100 digits"),
+    ]:
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(f"p mwis 1 0\nw 1 {weight}\n")
+        assert str(err.value) == f"line 2: {message}"
 
 
 @pytest.mark.parametrize(

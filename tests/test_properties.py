@@ -18,7 +18,14 @@ from holefree.engine import (  # noqa: E402
     perturbed_weights,
     solve_mwis,
 )
-from holefree.graph import Graph, emit_graph, parse_graph  # noqa: E402
+from holefree.graph import (  # noqa: E402
+    MAX_EXPONENT,
+    Graph,
+    emit_graph,
+    format_weight,
+    parse_graph,
+    parse_weight,
+)
 from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
 from holefree.recognition import clique_atoms  # noqa: E402
 from holefree.separators import (  # noqa: E402
@@ -208,3 +215,76 @@ def test_an_isolated_vertex_adds_its_weight(g, w):
     grown = solve_mwis(Graph(g.n + 1, g.edges(), [*g.weights, w]))
     assert grown.weight == solve_mwis(g).weight + w
     assert g.n in grown.vertices
+
+
+# digit runs: short ones, long ones across the 4000-digit chunks and the
+# interpreter's 4300-digit limit, and the digits of 2^a 5^b, whose inverses
+# print as the longest decimals
+digit_runs = st.one_of(
+    st.from_regex(r"[0-9]{0,6}", fullmatch=True),
+    st.builds(
+        lambda d, k, tail: d * k + tail,
+        st.sampled_from("0123456789"),
+        st.integers(3990, 9000),
+        st.from_regex(r"[0-9]{0,6}", fullmatch=True),
+    ),
+    st.builds(lambda a, b: format_weight(Fraction(2**a * 5**b)), st.integers(0, 29000), st.integers(0, 13000)),
+)
+
+
+@st.composite
+def weight_strings(draw):
+    sign = draw(st.sampled_from(("", "+", "-")))
+    whole = draw(digit_runs)
+    if draw(st.booleans()):
+        return f"{sign}{whole}/{draw(digit_runs)}"
+    frac = draw(st.none() | digit_runs)
+    exp = draw(st.none() | st.integers(-4400, 4400))
+    return sign + whole + ("" if frac is None else "." + frac) + ("" if exp is None else f"e{exp}")
+
+
+@hypothesis.settings(derandomized, max_examples=100)  # strings up to 30,000 digits
+@hypothesis.given(weight_strings())
+@hypothesis.example("1" + "0" * 4300)  # the complement of a graph with a 1e4300 weight
+@hypothesis.example("1/" + format_weight(Fraction(2**28568)))  # 28,568 decimals
+@hypothesis.example("9" * 4300 + "." + "9" * 4300 + "e4300")
+def test_every_weight_parse_weight_reads_prints_back_to_itself(text):
+    try:
+        w = parse_weight(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        hypothesis.reject()
+    assert parse_weight(format_weight(w)) == w
+
+
+@derandomized
+@hypothesis.given(
+    st.text("0123456789.+-/eE _", max_size=12)
+    | st.from_regex(r"\s?[+-]?\d{0,3}(/\d{0,3}|(\.\d{0,3})?([eE][+-]?\d{1,3})?)\s?", fullmatch=True)
+)
+@hypothesis.example("1_0")
+@hypothesis.example(" 1/2 ")
+@hypothesis.example("1.e5")
+@hypothesis.example("1e99_999")
+@hypothesis.example("1/2e5")
+@hypothesis.example("1.5/2")
+@hypothesis.example("/2")
+@hypothesis.example("1/")
+@hypothesis.example("e5")
+@hypothesis.example(".")
+def test_parse_weight_reads_fractions_grammar_without_underscores(text):
+    # one reader for every length and Python version
+    def outcome(read):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            return "refused"
+        except OverflowError:
+            return "overflow"
+
+    got = outcome(parse_weight)
+    if got == "overflow":  # only an exponent past the bound, read before any arithmetic
+        assert abs(int(text.upper().partition("E")[2])) > MAX_EXPONENT
+    elif "_" in text:  # Fraction reads "1_0" from Python 3.11 on
+        assert got == "refused"
+    else:
+        assert got == outcome(Fraction)

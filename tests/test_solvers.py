@@ -113,6 +113,32 @@ def test_branching_witness_on_skew_13_prism():
         assert (res.weight, res.vertices) == (oracle.weight, oracle.vertices)
 
 
+@pytest.mark.parametrize("delta", [1, -1, 1 << 40])
+def test_subexp1_catches_a_faulty_leaf(monkeypatch, delta):
+    # leaves return bare ints with no witness check of their own, so the
+    # one check of the public call must catch an off leaf value
+    best_brute = solvers.best_brute
+    monkeypatch.setattr(solvers, "best_brute", lambda h, w, stats: best_brute(h, w, stats) + delta)
+    with pytest.raises(SolverInvariantError):
+        solve_subexp1(prism_graph(13))
+
+
+def _lhf30():
+    rng = random.Random(30)
+    return random_weights(grow_lhf(random_chordal(30, 60, rng), 30, rng, forbid_prism=3), rng, "int")
+
+
+@pytest.mark.parametrize("k, witness", [(13, (0, 14)), (16, (0, 17))])
+def test_subexp1_branch_count_on_prisms(k, witness):
+    res = solve_subexp1(prism_graph(k), SolveConfig(5000, 50000))
+    assert (res.weight, res.vertices, res.stats.branches) == (2, witness, 31)
+
+
+def test_subexp1_counts_the_pipeline_leaf():
+    s = solve_subexp1(_lhf30(), SolveConfig(5000, 50000)).stats
+    assert (s.minseps, s.pmcs, s.blocks, s.table_entries, s.branches) == (27, 35, 17, 94, 0)
+
+
 # -- balanced separators ------------------------------------------------------
 
 def test_balanced_separator_p5():
@@ -291,6 +317,18 @@ def test_subexp2_oracle_sweep(lhf_corpus_16):
         oracle = brute_force_mwis(g)
         res = solve_subexp2(g)
         assert (res.weight, res.vertices) == (oracle.weight, oracle.vertices)
+
+
+@pytest.mark.parametrize("seed, weight, entries", [(1, 119, 766), (2, 121, 1250), (3, 129, 858)])
+def test_subexp2_counts_on_er35(seed, weight, entries):
+    g = random_weights(er_graph(35, 0.08, random.Random(seed)), random.Random(seed), "int")
+    res = solve_subexp2(g, SolveConfig(5000, 50000))
+    assert (res.weight, res.stats.table_entries, res.stats.branches) == (weight, entries, 0)
+
+
+def test_subexp2_counts_on_the_grown_lhf30():
+    res = solve_subexp2(_lhf30(), SolveConfig(5000, 50000))
+    assert (res.weight, res.stats.branches, res.stats.table_entries) == (77, 4, 304)
 
 
 def test_subexp2_width_fallback_runs_the_pipeline():
