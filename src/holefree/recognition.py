@@ -1,7 +1,7 @@
 """Class-membership tests and the chordality toolkit.
 
 Covers detection of long holes (induced cycles of length at least five)
-and induced k-prisms, chordality with certificates in both directions,
+and induced k-prisms, chordality with a perfect elimination order,
 minimal triangulations, and clique trees of chordal completions.
 """
 
@@ -50,8 +50,6 @@ class ChordalityResult:
     chordal: bool
     # perfect elimination order (eliminate first to last) when chordal
     elimination_order: tuple[int, ...] | None
-    # an induced cycle of length >= 4 when not chordal
-    hole: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -144,29 +142,13 @@ def is_induced_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
     return True
 
 
-def _bfs_parents(g: Graph, source: int, allowed: int) -> dict[int, int]:
-    """The BFS tree from ``source`` inside ``allowed``, neighbors taken in
-    ascending order: each reached vertex's parent (-1 for the source),
-    keyed in visit order.  Its paths are the lexicographically smallest
-    shortest ones."""
-    parent = {source: -1}
-    frontier = deque([source])
-    while frontier:
-        u = frontier.popleft()
-        for v in iter_bits(g.adj[u] & allowed):
-            if v not in parent:
-                parent[v] = u
-                frontier.append(v)
-    return parent
-
-
-def _path_to(parent: dict[int, int], u: int) -> list[int]:
-    """The path of a BFS tree from its source to u."""
-    path = []
-    while u != -1:
-        path.append(u)
-        u = parent[u]
-    return path[::-1]
+def _non_clique_atoms(g: Graph) -> list[int]:
+    """The atoms of :func:`clique_atoms` that are not cliques, none when g
+    is chordal.  A hole has no clique separator, nor does a k-prism with
+    k >= 2, so each induced one lies inside one of these atoms (Tarjan,
+    "Decomposition by clique separators", Discrete Math. 1985)."""
+    atoms, chordal = clique_atoms(g)
+    return [] if chordal else [a for a, _ in atoms if not g.is_clique(a)]
 
 
 def find_long_hole(g: Graph) -> tuple[int, ...] | None:
@@ -175,10 +157,17 @@ def find_long_hole(g: Graph) -> tuple[int, ...] | None:
     For every induced path x1-x2-x3-x4 the search asks whether x1 and x4
     reconnect in g minus ((N[x2] | N[x3]) - {x1, x4}); a shortest such
     reconnection closes an induced cycle of length at least five.  Seeds
-    are scanned in canonical order so the result is deterministic.
+    are scanned in canonical order so the result is deterministic.  A long
+    hole lies inside one non-clique atom, so an edge whose ends share none
+    is skipped: no long hole runs through it, and the first edge that
+    gives one, with its cycle, is the one the scan of every edge finds.
     """
+    shared = [0] * g.n  # the vertices that share a non-clique atom with v
+    for atom in _non_clique_atoms(g):
+        for v in iter_bits(atom):
+            shared[v] |= atom
     for x2 in range(g.n):
-        for x3 in iter_bits(g.adj[x2]):
+        for x3 in iter_bits(g.adj[x2] & shared[x2]):
             cycle = long_hole_through(g, x2, x3)
             if cycle is not None:
                 return cycle
@@ -196,44 +185,35 @@ def long_hole_through(g: Graph, x2: int, x3: int) -> tuple[int, ...] | None:
     ends = g.adj[x3] & ~g.adj[x2] & ~(1 << x2)
     if not starts or not ends:
         return None
-    blocked = g.adj[x2] | g.adj[x3] | (1 << x2) | (1 << x3)
+    region = g.full_mask & ~(g.adj[x2] | g.adj[x3] | (1 << x2) | (1 << x3))
     for x1 in iter_bits(starts):
+        # BFS from x1 through the region, neighbours in ascending order, so
+        # its tree paths are the lexicographically smallest shortest ones.
         # x4 is in N(x3), outside the region: a search from x1 to x4 only
         # ends there, so x4 hangs off the first vertex of one BFS that sees it
-        parent = _bfs_parents(g, x1, g.full_mask & ~blocked | (1 << x1))
+        parent = {x1: -1}
+        queue = deque([x1])
         reach = 0
-        for u in parent:
+        while queue:
+            u = queue.popleft()
             reach |= g.adj[u]
+            for v in iter_bits(g.adj[u] & region):
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
         hits = ends & ~g.adj[x1] & reach
         if not hits:
             continue
         x4 = (hits & -hits).bit_length() - 1
         u = next(u for u in parent if g.adj[u] >> x4 & 1)
-        cycle = tuple([x3, x2, *_path_to(parent, u), x4])
+        path = [x4]
+        while u != -1:
+            path.append(u)
+            u = parent[u]
+        cycle = tuple([x3, x2, *reversed(path)])
         if not is_induced_cycle(g, cycle) or len(cycle) < 5:
             raise SolverInvariantError(f"long-hole candidate failed check: {cycle}")
         return cycle
-    return None
-
-
-def _hole_certificate(g: Graph) -> tuple[int, ...] | None:
-    """An induced cycle of length at least four, or None (graph chordal).
-
-    Scans triples v with nonadjacent neighbors x, y and reconnects x to y
-    avoiding N[v]; in a non-chordal graph some triple on a hole succeeds.
-    """
-    for v in range(g.n):
-        nv = g.adj[v]
-        for x in iter_bits(nv):
-            for y in iter_bits(nv):
-                if y <= x or g.has_edge(x, y):
-                    continue
-                parent = _bfs_parents(g, x, g.full_mask & ~(nv | (1 << v)) | (1 << x) | (1 << y))
-                if y in parent:
-                    cycle = tuple([v, *_path_to(parent, y)])
-                    if not is_induced_cycle(g, cycle) or len(cycle) < 4:
-                        raise SolverInvariantError(f"hole candidate failed check: {cycle}")
-                    return cycle
     return None
 
 
@@ -336,14 +316,11 @@ def _mcs_m(g: Graph) -> tuple[list[int], FillIn]:
 def is_chordal(g: Graph) -> ChordalityResult:
     """Chordal iff the reversed plain MCS order is a perfect elimination
     order, checked by :func:`_mcs_peo` in O(n + m) bitset operations; it
-    is then the elimination order.  A hole certifies failure."""
+    is then the elimination order."""
     order = _mcs_peo(g)
     if order is None:
-        hole = _hole_certificate(g)
-        if hole is None:
-            raise SolverInvariantError("no perfect elimination order but no hole found")
-        return ChordalityResult(False, None, hole)
-    return ChordalityResult(True, tuple(reversed(order)), None)
+        return ChordalityResult(False, None)
+    return ChordalityResult(True, tuple(reversed(order)))
 
 
 def minimal_triangulation(g: Graph) -> FillIn:
@@ -517,12 +494,15 @@ def find_k_prism(g: Graph, k: int) -> PrismWitness | None:
 def largest_prism(g: Graph, max_k: int) -> int:
     """Largest k <= max_k with an induced k-prism (0 if even k=1 is absent).
 
-    A (k+1)-prism contains an induced k-prism, so the sweep may stop at the
-    first miss.
+    A 1-prism is an edge.  A k-prism with k >= 2 has no clique separator,
+    so it lies inside one non-clique atom, and only those are searched,
+    each as an induced subgraph.  A (k+1)-prism contains an induced
+    k-prism, so each atom's sweep starts past the best k so far and may
+    stop at the first miss.
     """
-    best = 0
-    for k in range(1, max_k + 1):
-        if find_k_prism(g, k) is None:
-            break
-        best = k
+    best = 1 if max_k >= 1 and any(g.adj) else 0
+    for atom in _non_clique_atoms(g):
+        h, _ = g.induced(atom)
+        while best < max_k and find_k_prism(h, best + 1) is not None:
+            best += 1
     return best

@@ -391,6 +391,32 @@ def reference_grow_lhf(
     return g
 
 
+def reference_find_long_hole(g: Graph) -> tuple[int, ...] | None:
+    """``recognition.find_long_hole`` with its earlier scan: every edge of
+    g in canonical (x2, x3) order, with no atom in sight."""
+    from holefree.recognition import long_hole_through
+
+    for x2 in range(g.n):
+        for x3 in iter_bits(g.adj[x2]):
+            cycle = long_hole_through(g, x2, x3)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def reference_largest_prism(g: Graph, max_k: int) -> int:
+    """``recognition.largest_prism`` with its earlier sweep: k = 1, 2, ...
+    searched on the whole graph up to the first miss."""
+    from holefree.recognition import find_k_prism
+
+    best = 0
+    for k in range(1, max_k + 1):
+        if find_k_prism(g, k) is None:
+            break
+        best = k
+    return best
+
+
 # -- reference enumerators ----------------------------------------------------
 
 def reference_minimal_separators(g: Graph, cap: int = 0, counted: int = 0) -> list[Separator]:
@@ -648,15 +674,15 @@ def reference_mcs_order(g: Graph) -> list[int]:
 
 def reference_is_chordal(g: Graph):
     """``recognition.is_chordal`` by testing the MCS order for perfect
-    elimination, with the library's hole certificate on failure."""
-    from holefree.recognition import ChordalityResult, _hole_certificate
+    elimination."""
+    from holefree.recognition import ChordalityResult
 
     order = reference_mcs_order(g)
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         if not g.is_clique(mask_of(u for u in iter_bits(g.adj[v]) if pos[u] < pos[v])):
-            return ChordalityResult(False, None, _hole_certificate(g))
-    return ChordalityResult(True, tuple(reversed(order)), None)
+            return ChordalityResult(False, None)
+    return ChordalityResult(True, tuple(reversed(order)))
 
 
 def reference_minimal_triangulation(g: Graph) -> tuple[tuple[int, int], ...]:

@@ -2,6 +2,7 @@
 candidate law of the separator enumeration, the block family, and laws of
 the file format and of the solver."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from holefree.engine import (  # noqa: E402
     perturbed_weights,
     solve_mwis,
 )
+from holefree.families import er_graph, grow_lhf, random_chordal  # noqa: E402
 from holefree.graph import (  # noqa: E402
     MAX_EXPONENT,
     Graph,
@@ -27,7 +29,7 @@ from holefree.graph import (  # noqa: E402
     parse_weight,
 )
 from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
-from holefree.recognition import clique_atoms  # noqa: E402
+from holefree.recognition import clique_atoms, find_long_hole, largest_prism  # noqa: E402
 from holefree.separators import (  # noqa: E402
     absorb_last_vertex,
     add_last_vertex,
@@ -42,6 +44,8 @@ from oracles import (  # noqa: E402
     brute_force_pmcs,
     exhaustive_mwis,
     reference_atoms,
+    reference_find_long_hole,
+    reference_largest_prism,
 )
 
 derandomized = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -148,6 +152,43 @@ def test_cut_certificates_equal_the_flooded_ones(g, data):
             pick = data.draw(st.integers(1, (1 << len(members)) - 1))
             x = sum(1 << v for i, v in enumerate(members) if pick >> i & 1)
             assert cut_pmc(g, sep, comp, x) == is_pmc(g, sep.set | x)
+
+
+def _hole_hung_off_a_chordal_graph(rng: random.Random) -> Graph:
+    """A random chordal graph joined by 1-3 edges to an ER graph with a long
+    hole, relabelled at random: the hole sits inside one atom of many."""
+    chordal = random_chordal(rng.randint(5, 30), rng.randint(5, 60), rng)
+    er = er_graph(rng.randint(5, 12), rng.uniform(0.2, 0.5), rng)
+    while reference_find_long_hole(er) is None:
+        er = er_graph(er.n, rng.uniform(0.2, 0.5), rng)
+    a = chordal.n
+    joins = {(rng.randrange(a), a + rng.randrange(er.n)) for _ in range(rng.randint(1, 3))}
+    edges = [*chordal.edges(), *((a + u, a + v) for u, v in er.edges()), *joins]
+    perm = list(range(a + er.n))
+    rng.shuffle(perm)
+    return Graph(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def hole_and_prism_inputs(draw):
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    kind = draw(st.sampled_from(("er", "lhf", "joined")))
+    if kind == "er":
+        return er_graph(rng.randint(0, 16), rng.uniform(0.1, 0.8), rng)
+    if kind == "lhf":
+        n = rng.randint(5, 30)
+        return grow_lhf(random_chordal(n, 2 * n, rng), n, rng)
+    return _hole_hung_off_a_chordal_graph(rng)
+
+
+@derandomized
+@hypothesis.given(hole_and_prism_inputs())
+def test_atom_searches_match_the_whole_graph_scans(g):
+    # a hole or a k-prism with k >= 2 lies inside one non-clique atom, so the
+    # first hole in canonical edge order and every prism count stay the same
+    assert find_long_hole(g) == reference_find_long_hole(g)
+    for max_k in (1, 2, 4):
+        assert largest_prism(g, max_k) == reference_largest_prism(g, max_k)
 
 
 @derandomized

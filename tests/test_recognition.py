@@ -13,6 +13,7 @@ from holefree.families import (
     grow_lhf,
     random_chordal,
 )
+from holefree import recognition
 from holefree.graph import Graph
 from holefree.recognition import (
     _mcs_m,
@@ -37,6 +38,7 @@ from oracles import (
     path_graph,
     prism_exists_bruteforce,
     reference_clique_tree,
+    reference_find_long_hole,
     reference_grow_lhf,
     reference_is_chordal,
     reference_mcs_order,
@@ -120,6 +122,40 @@ def test_long_hole_deterministic():
     assert find_long_hole(g) == find_long_hole(g)
 
 
+def test_chordal_graphs_search_no_edge_and_no_prism(monkeypatch):
+    """A chordal graph has no non-clique atom, so neither search runs."""
+    g = random_chordal(300, 600, random.Random(3))
+    calls = []
+    monkeypatch.setattr(recognition, "long_hole_through", lambda *args: calls.append(args))
+    monkeypatch.setattr(recognition, "find_k_prism", lambda *args: calls.append(args))
+    assert find_long_hole(g) is None
+    assert largest_prism(g, 4) == 1
+    assert calls == []
+
+
+def test_searches_see_only_the_atom_of_a_c5_hung_off_a_chordal_graph(monkeypatch):
+    chordal = random_chordal(30, 60, random.Random(5))
+    g = Graph(35, [*chordal.edges(), *((30 + i, 30 + (i + 1) % 5) for i in range(5)), (7, 32)])
+    want = reference_find_long_hole(g)
+    edges, prisms = [], []
+    through, search = recognition.long_hole_through, recognition.find_k_prism
+
+    def spy_through(h, x2, x3):
+        edges.append((x2, x3))
+        return through(h, x2, x3)
+
+    def spy_search(h, k):
+        prisms.append((h.adj, k))
+        return search(h, k)
+
+    monkeypatch.setattr(recognition, "long_hole_through", spy_through)
+    monkeypatch.setattr(recognition, "find_k_prism", spy_search)
+    assert find_long_hole(g) == want == (31, 30, 34, 33, 32)
+    assert edges == [(30, 31)]
+    assert largest_prism(g, 4) == 1
+    assert prisms == [(cycle_graph(5).adj, 2)]
+
+
 # -- prisms -------------------------------------------------------------------
 
 def test_prism_finds_itself():
@@ -171,9 +207,7 @@ def test_tree_is_chordal():
 
 def test_c4_not_chordal_with_certificate():
     res = is_chordal(c4())
-    assert not res.chordal
-    assert res.hole is not None and len(res.hole) >= 4
-    assert is_induced_cycle(c4(), res.hole)
+    assert not res.chordal and res.elimination_order is None
 
 
 def test_c4_plus_diagonal_chordal():
@@ -195,8 +229,6 @@ def test_chordality_random_sweep():
         assert res.chordal == (not has_induced_cycle(g, 4))
         if res.chordal:
             _check_peo(g, res.elimination_order)
-        else:
-            assert is_induced_cycle(g, res.hole) and len(res.hole) >= 4
 
 
 # -- minimal triangulation ----------------------------------------------------
