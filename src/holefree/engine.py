@@ -8,7 +8,9 @@ Algorithms 2010), and eliminates them bottom-up (Tarjan, "Decomposition
 by clique separators", Discrete Math. 1985).  Only the atoms that are
 not cliques run the block DP below, each on its own induced graph; a
 graph with no clique separator, such as every k-prism with k >= 3, is
-one atom and runs it on itself.
+one atom and runs it on itself.  A component that is not chordal is first
+shrunk by exact reductions (:func:`reduce_graph`), after its minimal
+separators are counted against the cap.
 
 A block is a pair (D, S) read off a minimal separator record: D a full
 component of the minimal separator S, so S = N(D).  Since every minimal
@@ -199,7 +201,7 @@ def solve_bt(
     orders the tables, and the top block's comes last.  A vertex is taken
     only when its weight is positive.  With sums of
     :func:`perturbed_weights`, or of weights that the atom elimination of
-    :func:`best_mwis` adjusts from them, each entry is the one maximum of
+    :func:`_eliminate` adjusts from them, each entry is the one maximum of
     its choices, whatever the order among blocks of one size.
     ``stats.table_entries`` counts the entries of the kept blocks' tables.
     """
@@ -274,9 +276,167 @@ def solve_mwis(g: Graph, config: SolveConfig | None = None) -> SolveResult:
 
 
 def best_mwis(g: Graph, w: list[int], stats: SolveStats, cfg: SolveConfig) -> int:
-    """The best sum of int weights ``w`` over the independent sets of g: per
-    connected component, eliminate the atoms of its clique minimal
-    separator decomposition bottom-up.
+    """The best sum of int weights ``w`` over the independent sets of g, one
+    connected component at a time.
+
+    A component's atoms and minimal separators come first, from
+    :func:`atom_separators`, so the separator cap counts the component as
+    given.  A chordal component, all of whose atoms are cliques, goes
+    straight to :func:`_eliminate`.  Any other one is first shrunk by
+    :func:`reduce_graph`; when a rule removed a vertex, what is left is
+    solved again by this same function, with the value of the taken
+    vertices added.  Δ never grows on an induced subgraph, so that second
+    round cannot trip the separator cap, and the counts in ``stats`` are
+    those of the graph the DP runs on.
+    """
+    value = 0
+    for comp in g.components():
+        if comp.bit_count() == 1:
+            value += w[comp.bit_length() - 1]
+            continue
+        sub, vmap = g.induced(comp)
+        value += _solve_component(sub, [w[v] for v in vmap], cfg, stats)
+    return value
+
+
+def _solve_component(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
+    """:func:`best_mwis` on a connected g with at least two vertices."""
+    atoms, seps = atom_separators(g, cfg)
+    if any(part is not None for _, _, part in atoms):
+        kept, taken = reduce_graph(g, w)
+        if kept != g.full_mask:
+            sub, vmap = g.induced(kept)
+            rest = best_mwis(sub, [w[v] for v in vmap], stats, cfg)
+            return rest + sum(w[v] for v in iter_bits(taken))
+    atoms, pmcs = atom_pmcs(atoms, cfg)
+    stats.minseps += seps
+    stats.pmcs += pmcs
+    return _eliminate(atoms, w, stats)
+
+
+def reduce_graph(g: Graph, w: list[int]) -> tuple[int, int]:
+    """The vertices of g that three exact rules on nonnegative int weights
+    ``w`` leave, and those they take.
+
+    The rules run in ascending vertex order, pass after pass, until one
+    pass fires none; each reads the graph that is left (Lamm, Schulz,
+    Strash, Williger & Zhang, "Exactly solving the maximum weight
+    independent set problem on large real-world graphs", ALENEX 2019;
+    domination also in Fomin, Grandoni & Kratsch, J. ACM 2009):
+
+    - a vertex v of weight 0 goes;
+    - domination: v goes when a neighbour u has N[u] ⊆ N[v] and
+      w(u) >= w(v), as an independent set that holds v stays one, and
+      weighs no less, with u for v;
+    - neighbourhood removal: v is taken and N[v] goes when w(v) >= w(N(v)),
+      as an independent set that misses v stays one, and weighs no less,
+      with N(v) traded for v.
+
+    So the best sum over the independent sets of g is that of the taken
+    vertices plus the best over what is left.  On the perturbed weights of
+    :func:`perturbed_weights` that maximum is reached once, so no rule
+    drops a vertex of the canonical witness or takes one outside it.  Both
+    rules only delete vertices: what is left is an induced subgraph, still
+    free of long holes and of k-prisms when g is.
+    """
+    adj = g.adj
+    kept, taken = g.full_mask, 0
+    fired = True
+    while fired:
+        fired = False
+        for v in iter_bits(kept):
+            bit = 1 << v
+            if not kept & bit:
+                continue
+            nbrs = adj[v] & kept
+            if w[v]:
+                # the weight of N(v), unless a neighbour u dominates v first
+                closed, rest, total = nbrs | bit, nbrs, 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    u = low.bit_length() - 1
+                    if w[u] >= w[v] and not adj[u] & kept & ~closed:
+                        break
+                    total += w[u]
+                else:
+                    if total > w[v]:
+                        continue
+                    taken |= bit
+                    kept &= ~nbrs
+            kept &= ~bit
+            fired = True
+    return kept, taken
+
+
+def atom_separators(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int]:
+    """The atoms of g, each with its minimal separators, and |Δ(g)|.
+
+    One (atom A, parent separator S, part) triple per atom of
+    :func:`~holefree.recognition.clique_atoms`, in split order, the root
+    last with S = ∅; the empty graph has none.  The part is None for a
+    clique atom, and otherwise (h, hmap, minseps): h = g[A], its labels in
+    g, and its minimal separators.  So g is chordal exactly when every part
+    is None.
+
+    Δ(g) is the distinct clique minimal separators and Δ of each atom
+    (Berry, Pogorelcnik & Simonet 2010); the separator cap counts those,
+    and trips at the count it would reach if g were enumerated whole.
+    """
+    if not g.n:
+        return [], 0
+    pieces, chordal = clique_atoms(g)
+    seps = len({sep for _, sep in pieces[:-1]})
+    if cfg.cap_seps and seps > cfg.cap_seps:
+        raise CapacityExceededError("minimal separators", cfg.cap_seps, seps)
+    atoms = []
+    for atom, sep in pieces:
+        if chordal or g.is_clique(atom):
+            atoms.append((atom, sep, None))
+            continue
+        h, hmap = g.induced(atom)
+        minseps = enumerate_minimal_separators(h, cap=cfg.cap_seps, counted=seps)
+        seps += len(minseps)
+        atoms.append((atom, sep, (h, hmap, minseps)))
+    return atoms, seps
+
+
+def atom_pmcs(atoms: list[tuple], cfg: SolveConfig) -> tuple[list[tuple], int]:
+    """The atoms of :func:`atom_separators` with each part that is not None
+    extended to (h, hmap, minseps, pmcs), and |Π(g)|.
+
+    Π(g) is the clique atoms, each its own one PMC, and Π of each other
+    atom (by Leimer's theorem the minimal triangulations of g are the
+    unions of those of its atoms); the PMC cap counts those.
+    """
+    pmcs = sum(part is None for _, _, part in atoms)
+    if cfg.cap_pmcs and pmcs > cfg.cap_pmcs:
+        raise CapacityExceededError("potential maximal cliques", cfg.cap_pmcs, pmcs)
+    out = []
+    for atom, sep, part in atoms:
+        if part is not None:
+            h, hmap, minseps = part
+            family = enumerate_pmcs(h, minseps, cap=cfg.cap_pmcs, counted=pmcs)
+            pmcs += len(family)
+            part = (h, hmap, minseps, family)
+        out.append((atom, sep, part))
+    return out, pmcs
+
+
+def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
+    """The atoms of g with their families (:func:`atom_separators`, then
+    :func:`atom_pmcs`), |Δ(g)| and |Π(g)|.  Every atom's separators are
+    counted before any PMC, so g trips the caps, and at the same counts,
+    that it would trip if enumerated whole."""
+    atoms, seps = atom_separators(g, cfg)
+    atoms, pmcs = atom_pmcs(atoms, cfg)
+    return atoms, seps, pmcs
+
+
+def _eliminate(atoms: list[tuple], w: list[int], stats: SolveStats) -> int:
+    """The best sum of ``w`` over the independent sets of a connected graph
+    from its :func:`atom_families`, atom by atom, bottom-up; ``w`` is
+    adjusted in place.
 
     The atoms come in split order, so the parent separator S of an atom A
     lies in an atom still to come.  A - S hands up T: its best with no
@@ -290,69 +450,8 @@ def best_mwis(g: Graph, w: list[int], stats: SolveStats, cfg: SolveConfig) -> in
     vertex, which is then taken when its adjusted weight is positive.
     Every value is a sum of perturbed weights over one independent set of
     g, so the total is still the one maximum, and decodes to the canonical
-    witness.  The atoms, their families and the caps, which count the
-    separators and PMCs of the whole component, come from
-    :func:`atom_families`.
+    witness.
     """
-    value = 0
-    for comp in g.components():
-        if comp.bit_count() == 1:
-            value += w[comp.bit_length() - 1]
-            continue
-        sub, vmap = g.induced(comp)
-        value += _eliminate(sub, [w[v] for v in vmap], cfg, stats)
-    return value
-
-
-def atom_families(g: Graph, cfg: SolveConfig) -> tuple[list[tuple], int, int]:
-    """The atoms of g, each with its families, and |Δ(g)| and |Π(g)|.
-
-    One (atom A, parent separator S, part) triple per atom of
-    :func:`~holefree.recognition.clique_atoms`, in split order, the root
-    last with S = ∅; the empty graph has none.  The part is None for a
-    clique atom, its own one PMC, and otherwise (h, hmap, minseps, pmcs):
-    h = g[A], its labels in g, and its minimal separators and PMCs.
-
-    Δ(g) is the distinct clique minimal separators and Δ of each atom
-    (Berry, Pogorelcnik & Simonet 2010), and Π(g) the clique atoms and Π
-    of each other atom (by Leimer's theorem the minimal triangulations of
-    g are the unions of those of its atoms); the caps count those.  Every
-    atom's separators are counted before any PMC, so g trips the cap, and
-    at the same separator count, that it would trip if enumerated whole.
-    """
-    if not g.n:
-        return [], 0, 0
-    pieces, chordal = clique_atoms(g)
-    seps = len({sep for _, sep in pieces[:-1]})
-    if cfg.cap_seps and seps > cfg.cap_seps:
-        raise CapacityExceededError("minimal separators", cfg.cap_seps, seps)
-    parts = []
-    for atom, _ in pieces:
-        if chordal or g.is_clique(atom):
-            parts.append(None)
-            continue
-        h, hmap = g.induced(atom)
-        minseps = enumerate_minimal_separators(h, cap=cfg.cap_seps, counted=seps)
-        seps += len(minseps)
-        parts.append((h, hmap, minseps))
-    pmcs = parts.count(None)
-    if cfg.cap_pmcs and pmcs > cfg.cap_pmcs:
-        raise CapacityExceededError("potential maximal cliques", cfg.cap_pmcs, pmcs)
-    out = []
-    for (atom, sep), part in zip(pieces, parts):
-        if part is not None:
-            h, hmap, minseps = part
-            family = enumerate_pmcs(h, minseps, cap=cfg.cap_pmcs, counted=pmcs)
-            pmcs += len(family)
-            part = (h, hmap, minseps, family)
-        out.append((atom, sep, part))
-    return out, seps, pmcs
-
-
-def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> int:
-    """The best sum of ``w`` over the independent sets of a connected g,
-    atom by atom (see :func:`best_mwis`); ``w`` is adjusted in place."""
-    atoms, seps, pmcs = atom_families(g, cfg)
     root = atoms[-1][0]
     v0 = (root & -root).bit_length() - 1
     atoms[-1] = (root, 1 << v0, atoms[-1][2])
@@ -372,8 +471,6 @@ def _eliminate(g: Graph, w: list[int], cfg: SolveConfig, stats: SolveStats) -> i
         value += none
         for v, best in table.items():
             w[v] += best - none
-    stats.minseps += seps
-    stats.pmcs += pmcs
     return value + max(0, w[v0])
 
 

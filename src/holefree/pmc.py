@@ -27,7 +27,6 @@ not cliques, is :func:`~holefree.engine.atom_families`' job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bits import canonical_key, iter_bits, to_tuple
 from .errors import (
@@ -367,7 +366,13 @@ def dominate_pmc(g: Graph, pmc: Separator) -> DominationResult:
     that N(D) is a minimal separator with D full, pick a second full
     component, and cover N(D) with one neighbor of v on each side.  On
     long-hole-free inputs some v succeeds; otherwise an exhaustive search
-    over all 3-subsets runs and is reported as the fallback it is.
+    over the sets of at most three vertices runs and is reported as the
+    fallback it is.  It returns the first dominating set in the order of
+    ``combinations(range(n), size)``, at the smallest size, but tries only
+    sets inside N[Ω]: a vertex outside it dominates no vertex of Ω, so the
+    first set would be a smaller dominating set without it, which was tried
+    before.  The third vertex of a triple must cover t, the lowest vertex
+    of Ω that the first two miss, so it is drawn from N[t] only.
 
     No v dominates, so the part v misses holds v and a non-neighbour, and
     find_covering_component returns a component or raises.  N(D) of any
@@ -394,11 +399,22 @@ def dominate_pmc(g: Graph, pmc: Separator) -> DominationResult:
                 return DominationResult(tuple(sorted((v, x, y))), "lemma-chain")
         except WitnessNotFoundError:
             continue
-    for size in (1, 2, 3):
-        for combo in combinations(range(g.n), size):
-            z = 0
-            for v in combo:
-                z |= 1 << v
-            if target & ~g.neighborhood(z, closed=True) == 0:
-                return DominationResult(combo, "brute-fallback")
+    # the part of Ω each vertex of N[Ω] dominates, in ascending order
+    near_mask = g.neighborhood(target, closed=True)
+    cover = {v: (g.adj[v] | 1 << v) & target for v in iter_bits(near_mask)}
+    near = list(cover)
+    for a in near:
+        if cover[a] == target:
+            return DominationResult((a,), "brute-fallback")
+    for i, a in enumerate(near):
+        for b in near[i + 1 :]:
+            if cover[a] | cover[b] == target:
+                return DominationResult((a, b), "brute-fallback")
+    for i, a in enumerate(near):
+        for b in near[i + 1 :]:
+            missed = target & ~(cover[a] | cover[b])
+            t = (missed & -missed).bit_length() - 1
+            for c in iter_bits((g.adj[t] | 1 << t) >> (b + 1) << (b + 1)):
+                if missed & ~cover[c] == 0:
+                    return DominationResult((a, b, c), "brute-fallback")
     raise NoDominationError(f"no 3-set dominates {to_tuple(target)}")

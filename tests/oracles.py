@@ -800,3 +800,37 @@ def reference_balanced_separator(g: Graph):
     max_comp = max(map(weight_of, g.components(g.full_mask & ~separator)), default=0)
     assert 2 * max_comp <= total
     return BalancedSeparatorResult(bag, z, separator, Fraction(max_comp, scale), degraded)
+
+
+def reference_dominate_pmc(g: Graph, pmc: Separator):
+    """``pmc.dominate_pmc`` with its earlier fallback: every 1-, 2- and
+    3-subset of all n vertices in ``combinations`` order, each weighed by a
+    fresh closed neighbourhood."""
+    from holefree.errors import NoDominationError
+    from holefree.pmc import (
+        DominationResult,
+        find_covering_component,
+        find_separator_cover_pair,
+    )
+
+    target = pmc.set
+    for v in iter_bits(target):
+        if target & ~(g.adj[v] | (1 << v)) == 0:
+            return DominationResult((v,), "single-vertex")
+    for v in iter_bits(target):
+        try:
+            comp = find_covering_component(pmc, target & ~g.adj[v])
+            sep = analyze_separator(g, pmc.neighborhoods[pmc.components.index(comp)])
+            d_index = sep.components.index(comp)
+            b_index = next(i for i in sep.full if i != d_index)
+            x, y = find_separator_cover_pair(g, sep, d_index, b_index, v)
+            z = (1 << v) | (1 << x) | (1 << y)
+            if target & ~g.neighborhood(z, closed=True) == 0:
+                return DominationResult(tuple(sorted((v, x, y))), "lemma-chain")
+        except WitnessNotFoundError:
+            continue
+    for size in (1, 2, 3):
+        for combo in combinations(range(g.n), size):
+            if target & ~g.neighborhood(mask_of(combo), closed=True) == 0:
+                return DominationResult(combo, "brute-fallback")
+    raise NoDominationError(f"no 3-set dominates {to_tuple(target)}")

@@ -18,6 +18,7 @@ from holefree.engine import (
     decode,
     index_caps,
     perturbed_weights,
+    reduce_graph,
     solve_bt,
     solve_mwis,
 )
@@ -296,7 +297,9 @@ def test_elimination_runs_the_dp_only_on_atoms_that_are_not_cliques(monkeypatch)
     # three 4-cycles chained at the cut vertices 11 and 6, and a triangle
     # hung on vertex 9: three DPs, each on a 4-cycle, rooted at its lowest
     # vertex or at its parent separator, which is vertex 11, the last of
-    # {4, 5, 6, 11}, in one of them; none on the triangle
+    # {4, 5, 6, 11}, in one of them; none on the triangle.  The twins 3 and
+    # 10 of the triangle make domination fire under any weights, so the
+    # walk is run below the reductions, with reduce_graph keeping all
     cycles = [(0, 1, 2, 11), (11, 4, 5, 6), (6, 7, 8, 9)]
     edges = [(c[i], c[i - 1]) for c in cycles for i in range(4)] + [(9, 10), (10, 3), (3, 9)]
     g = Graph(12, edges).with_weights([1, 2, 3, 7, 5, 6, 7, 8, 9, 1, 7, 4])
@@ -308,10 +311,65 @@ def test_elimination_runs_the_dp_only_on_atoms_that_are_not_cliques(monkeypatch)
         return real(h, pmcs, blocks, w, root)
 
     monkeypatch.setattr(engine, "solve_bt", spy)
+    monkeypatch.setattr(engine, "reduce_graph", lambda h, w: (h.full_mask, 0))
     res = solve_mwis(g)
     assert (res.weight, res.vertices) == exhaustive_mwis(g)
     assert sorted(roots) == [(4, 1), (4, 1), (4, 8)]
     assert (res.stats.minseps, res.stats.pmcs) == (9, 13)
+
+
+def _benchmark_prisms():
+    # the weighted k-prisms of the prism and fallback benchmark workloads,
+    # seeds 1 and 2: each slot's style cycles through int, decimal, skew
+    styles = ("int", "decimal", "skew")
+    prism = [(k, styles[i % 3]) for i, k in enumerate((6,) * 3 + (7,) * 3 + (8,) * 7 + (9,) * 6)]
+    fallback = (13,) * 2 + (14,) * 2 + (15,) * 8 + (16,) * 8
+    slots = {
+        "prism": prism + [(10, "decimal")],
+        "fallback": [(k, styles[i % 3]) for i, k in enumerate(fallback)],
+    }
+    for workload, specs in slots.items():
+        for seed in (1, 2):
+            for slot, (k, style) in enumerate(specs):
+                rng = random.Random(f"{workload}:{seed}:{slot}")
+                yield random_weights(prism_graph(k), rng, style)
+
+
+def test_no_reduction_fires_on_the_benchmark_prisms():
+    # no closed neighbourhood of a k-prism (k >= 2) holds another, and no
+    # weight there reaches that of its k neighbours, so the prisms keep
+    # every DP stat
+    count = 0
+    for g in _benchmark_prisms():
+        assert reduce_graph(g, perturbed_weights(g)[1]) == (g.full_mask, 0)
+        count += 1
+    assert count == 80
+
+
+def test_reductions_on_small_graphs():
+    # a triangle 0 1 2 with 3 hung on 2: the twin 1 dominates 0, then 1
+    # outweighs 2, its one neighbour left, and is taken, and so is 3 alone
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert reduce_graph(g, [2, 2, 1, 5]) == (0, 0b1010)
+    # a vertex at least as heavy as its neighbourhood is taken, which goes
+    path = Graph(3, [(0, 1), (1, 2)])
+    assert reduce_graph(path, [1, 5, 1]) == (0, 0b010)
+    assert reduce_graph(path, [0, 0, 0]) == (0, 0)
+    # no rule fires on a 4-cycle of equal weights: all four stay
+    assert reduce_graph(c4(), [1, 1, 1, 1]) == (0b1111, 0)
+
+
+def test_reduced_graph_counts_its_own_families():
+    # lhf30 solved by bt: the separator cap counted the input's 27
+    # separators, and the stats are those of the reduced graph's DP
+    rng = random.Random(30)
+    g = random_weights(grow_lhf(random_chordal(30, 60, rng), 30, rng, forbid_prism=3), rng, "int")
+    assert atom_families(g, SolveConfig())[1:] == (27, 35)
+    with pytest.raises(CapacityExceededError):
+        solve_mwis(g, SolveConfig(cap_seps=26))
+    res = solve_mwis(g, SolveConfig(cap_seps=27))
+    assert (res.stats.minseps, res.stats.pmcs, res.stats.table_entries) == (8, 11, 0)
+    assert (res.weight, res.mask) == _canonical_by_oracle(g, _networkx_mwis_weight)
 
 
 def test_atom_walk_tests_no_atom_for_a_clique_on_chordal_graphs(monkeypatch):

@@ -15,11 +15,20 @@ from holefree.bits import canonical_key, iter_bits, mask_of, to_tuple  # noqa: E
 from holefree.engine import (  # noqa: E402
     SolveConfig,
     atom_families,
+    brute_force_mwis,
     decode,
     perturbed_weights,
+    reduce_graph,
     solve_mwis,
 )
-from holefree.families import er_graph, grow_lhf, random_chordal  # noqa: E402
+from holefree.errors import NoDominationError  # noqa: E402
+from holefree.families import (  # noqa: E402
+    WEIGHT_STYLES,
+    er_graph,
+    grow_lhf,
+    random_chordal,
+    random_weights,
+)
 from holefree.graph import (  # noqa: E402
     MAX_EXPONENT,
     Graph,
@@ -28,7 +37,7 @@ from holefree.graph import (  # noqa: E402
     parse_graph,
     parse_weight,
 )
-from holefree.pmc import block_family, cut_pmc, enumerate_pmcs, is_pmc  # noqa: E402
+from holefree.pmc import block_family, cut_pmc, dominate_pmc, enumerate_pmcs, is_pmc  # noqa: E402
 from holefree.recognition import clique_atoms, find_long_hole, largest_prism  # noqa: E402
 from holefree.separators import (  # noqa: E402
     absorb_last_vertex,
@@ -37,6 +46,7 @@ from holefree.separators import (  # noqa: E402
     drop_last_vertex,
     enumerate_minimal_separators,
 )
+from holefree.solvers import solve  # noqa: E402
 
 from oracles import (  # noqa: E402
     atom_pmc_sets,
@@ -44,6 +54,7 @@ from oracles import (  # noqa: E402
     brute_force_pmcs,
     exhaustive_mwis,
     reference_atoms,
+    reference_dominate_pmc,
     reference_find_long_hole,
     reference_largest_prism,
 )
@@ -329,3 +340,50 @@ def test_parse_weight_reads_fractions_grammar_without_underscores(text):
         assert got == "refused"
     else:
         assert got == outcome(Fraction)
+
+
+@st.composite
+def er_and_lhf_graphs(draw, max_n=16):
+    """An ER or a grown long-hole-free graph with n <= ``max_n``, in one of
+    the five weight styles."""
+    style = draw(st.sampled_from(WEIGHT_STYLES))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = rng.randint(1, max_n)  # uniform, where a drawn size leans to 1
+    if draw(st.booleans()):
+        g = er_graph(n, rng.uniform(0.05, 0.6), rng)
+    else:
+        g = grow_lhf(random_chordal(n, 2 * n, rng), n, rng, forbid_prism=3)
+    return random_weights(g, rng, style)
+
+
+@derandomized
+@hypothesis.given(er_and_lhf_graphs())
+def test_reductions_keep_the_canonical_witness(g):
+    # the reductions keep the one maximum of the perturbed weights: each
+    # vertex they take is in the canonical witness, each they drop is not
+    want = brute_force_mwis(g)
+    for res in (solve_mwis(g), solve(g, strategy="bt")):
+        assert (res.weight, res.vertices) == (want.weight, want.vertices)
+    kept, taken = reduce_graph(g, perturbed_weights(g)[1])
+    assert not kept & taken
+    assert taken & ~want.mask == 0
+    assert want.mask & ~(kept | taken) == 0
+
+
+def _domination(dominate, g, pmc):
+    try:
+        return dominate(g, pmc)
+    except NoDominationError:
+        return None
+
+
+@derandomized
+@hypothesis.given(er_and_lhf_graphs(max_n=14))
+def test_domination_equals_the_scan_over_all_vertices(g):
+    # the fallback scans only N[PMC], with the third vertex drawn from N[t],
+    # and finds the same first dominating set as the scan over all subsets
+    for _, _, part in atom_families(g, SolveConfig())[0]:
+        if part is not None:
+            h, _, _, family = part
+            for p in family:
+                assert _domination(dominate_pmc, h, p) == _domination(reference_dominate_pmc, h, p)

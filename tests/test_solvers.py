@@ -136,7 +136,41 @@ def test_subexp1_branch_count_on_prisms(k, witness):
 
 def test_subexp1_counts_the_pipeline_leaf():
     s = solve_subexp1(_lhf30(), SolveConfig(5000, 50000)).stats
-    assert (s.minseps, s.pmcs, s.blocks, s.table_entries, s.branches) == (27, 35, 17, 94, 0)
+    assert (s.minseps, s.pmcs, s.blocks, s.table_entries, s.branches) == (8, 11, 0, 0, 0)
+
+
+# -- the separator cap counts the input -----------------------------------------
+
+TRIP = "minimal separators: cap 5000 exceeded (5001 found so far)"
+
+
+def _fallback_er(seed: int, slot: int) -> Graph:
+    # the unweighted ER graph of the fallback benchmark workload's slot
+    rng = random.Random(f"fallback:{seed}:{slot}")
+    return er_graph({20: 50, 21: 55, 22: 60}[slot], 0.08, rng)
+
+
+@pytest.mark.parametrize("style", WEIGHT_STYLES)
+def test_separator_trip_does_not_depend_on_the_weights(style):
+    # the cap counts the separators of each component as given, before any
+    # reduction, so bt trips at 5001 on the 13- to 16-prisms and on the
+    # fallback ER graphs whatever the weights; auto then solves the prisms
+    # by subexp1 and re-raises the trip on the ER graphs
+    rng = random.Random(style)
+    cfg = SolveConfig(5000, 50000)
+    for k in (13, 14, 15, 16):
+        g = random_weights(prism_graph(k), rng, style)
+        with pytest.raises(CapacityExceededError) as trip:
+            solve(g, "bt", cfg)
+        assert str(trip.value) == TRIP
+        assert solve(g, "auto", cfg).strategy == "subexp1"
+    for seed in (1, 2):
+        for slot in (20, 21, 22):
+            g = random_weights(_fallback_er(seed, slot), rng, style)
+            for strategy in ("bt", "auto"):
+                with pytest.raises(CapacityExceededError) as trip:
+                    solve(g, strategy, cfg)
+                assert str(trip.value) == TRIP
 
 
 # -- balanced separators ------------------------------------------------------
